@@ -156,6 +156,10 @@ def load_embeddings(stream, expected_dim: int | None = None) -> EmbeddingTable:
             raise EmbeddingFormatError(
                 f"non-numeric vector component for token {token!r}", line=lineno
             ) from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError(
+                f"non-finite vector component for token {token!r}", line=lineno
+            )
         if dimension is None:
             dimension = len(vec)
         elif len(vec) != dimension:

@@ -2,10 +2,11 @@
 per-task uni-directional GRUs with cross-skip connections, and linear-chain
 CRF output layers.
 
-The GRU step and the CRF score/log-partition are registered on the tape as
-fused primitives with hand-derived vector-Jacobian products (the CRF
-gradient is the classic forward-backward marginal computation); their
-correctness is pinned by finite-difference and enumeration tests.
+A whole GRU sequence and the CRF score/log-partition are each registered
+on the tape as one fused primitive with a hand-derived vector-Jacobian
+product (the CRF gradient is the classic forward-backward marginal
+computation); their correctness is pinned by finite-difference and
+enumeration tests.
 """
 
 from __future__ import annotations
@@ -66,105 +67,113 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def gru_step(
+def gru_sequence(
     cell: GruCell,
-    x: Tensor,
-    h_prev: Tensor,
+    X,
     tape: Tape | None = None,
     rec_mask: np.ndarray | None = None,
+    reverse: bool = False,
 ) -> Tensor:
-    """One recurrence step: h_t from the input column and previous state.
+    """Run the cell from a zero state over the rows of an (n x d) input and
+    return the (n x u) states in token order; ``reverse`` walks the rows
+    last to first.
 
+    ``X`` is a constant array or a Tensor; a Tensor receives its gradient.
     ``rec_mask`` (hidden x 1), when given, drops entries of the previous
     state wherever it feeds a weight matrix; the interpolation path keeps
     the unmasked state (variational recurrent dropout).
+
+    The whole sequence is one tape record.  Each step uses matrix-vector
+    products only: a sentence-wide input GEMM wakes the BLAS thread pool on
+    long queries (see README).  The backward pass loops over the recurrent
+    state alone, then forms each weight gradient as one product over all
+    steps.
     """
     u, d = cell.hidden_size, cell.input_size
-    if x.shape != (d, 1):
-        raise nm.ShapeError(f"gru_step: input shape {x.shape}, expected {(d, 1)}")
-    if h_prev.shape != (u, 1):
-        raise nm.ShapeError(f"gru_step: state shape {h_prev.shape}, expected {(u, 1)}")
-
-    xv, hv = x.data, h_prev.data
-    hm = hv if rec_mask is None else hv * rec_mask
+    x_const = not isinstance(X, Tensor)
+    Xd = np.asarray(X, dtype=np.float64) if x_const else X.data
+    if Xd.ndim != 2 or Xd.shape[0] == 0 or Xd.shape[1] != d:
+        raise nm.ShapeError(f"gru_sequence: input shape {Xd.shape}, expected (n, {d})")
+    if rec_mask is not None and rec_mask.shape != (u, 1):
+        raise nm.ShapeError(f"gru_sequence: mask shape {rec_mask.shape}, expected {(u, 1)}")
+    n = Xd.shape[0]
     uz, wz, bz = cell.update_in.data, cell.update_rec.data, cell.update_bias.data
     ur, wr, br = cell.reset_in.data, cell.reset_rec.data, cell.reset_bias.data
     uh, wh, bh = cell.cand_in.data, cell.cand_rec.data, cell.cand_bias.data
+    # gate rows stacked update, reset, candidate; the backward pass keeps
+    # no stacked copy, so a live tape holds only the parameters themselves
+    U = np.vstack((uz, ur, uh))
+    W = np.vstack((wz, wr))
+    b = np.vstack((bz, br, bh))[:, 0]
+    m = None if rec_mask is None else rec_mask[:, 0]
+    steps = range(n - 1, -1, -1) if reverse else range(n)
+    record = tape is not None
 
-    z = _sigmoid(uz @ xv + wz @ hm + bz)
-    r = _sigmoid(ur @ xv + wr @ hm + br)
-    rh = r * hm
-    c = np.tanh(uh @ xv + wh @ rh + bh)
-    out = Tensor((1.0 - z) * hv + z * c)
+    out = np.empty((n, u))
+    if record:
+        gates = np.empty((n, 3 * u))  # z, r, c of each token
+        masked = np.empty((n, u)) if m is not None else None
+    h = np.zeros(u)
+    for t in steps:
+        a = U @ Xd[t] + b
+        hm = h if m is None else h * m
+        zr = 0.5 + 0.5 * np.tanh(0.5 * (a[: 2 * u] + W @ hm))
+        z, r = zr[:u], zr[u:]
+        c = np.tanh(a[2 * u :] + wh @ (r * hm))
+        h = h + z * (c - h)
+        out[t] = h
+        if record:
+            gates[t, : 2 * u] = zr
+            gates[t, 2 * u :] = c
+            if m is not None:
+                masked[t] = hm
+    result = Tensor(out)
+    if not record:
+        return result
 
-    if tape is not None:
-        def vjp(g):
-            dh = g * (1.0 - z)
-            dz = g * (c - hv)
-            dc = g * z
-            dah = dc * (1.0 - c * c)
-            d_uh = dah @ xv.T
-            d_wh = dah @ rh.T
-            drh = wh.T @ dah
-            dr = drh * hm
-            dhm = drh * r
-            dar = dr * r * (1.0 - r)
-            d_ur = dar @ xv.T
-            d_wr = dar @ hm.T
-            dhm = dhm + wr.T @ dar
-            daz = dz * z * (1.0 - z)
-            d_uz = daz @ xv.T
-            d_wz = daz @ hm.T
-            dhm = dhm + wz.T @ daz
-            dx = uz.T @ daz + ur.T @ dar + uh.T @ dah
-            if rec_mask is not None:
-                dhm = dhm * rec_mask
-            dh = dh + dhm
-            return (dx, dh, d_uz, d_wz, daz, d_ur, d_wr, dar, d_uh, d_wh, dah)
-
-        tape.record(
-            out,
-            (
-                x,
-                h_prev,
-                cell.update_in,
-                cell.update_rec,
-                cell.update_bias,
-                cell.reset_in,
-                cell.reset_rec,
-                cell.reset_bias,
-                cell.cand_in,
-                cell.cand_rec,
-                cell.cand_bias,
-            ),
-            vjp,
+    def vjp(g):
+        prev = np.zeros((n, u))
+        if reverse:
+            prev[:-1] = out[1:]
+        else:
+            prev[1:] = out[:-1]
+        fed = prev if m is None else masked
+        Z, R, C = gates[:, :u], gates[:, u : 2 * u], gates[:, 2 * u :]
+        f_z = (C - prev) * Z * (1.0 - Z)
+        f_r = fed * R * (1.0 - R)
+        f_c = Z * (1.0 - C * C)
+        keep = 1.0 - Z
+        W_zr = np.vstack((wz, wr))
+        D = np.empty((n, 3 * u))  # stacked gate pre-activation gradients
+        carry = np.zeros(u)
+        for t in reversed(steps):
+            dh = g[t] + carry
+            row = D[t]
+            np.multiply(dh, f_z[t], out=row[:u])
+            dc = np.multiply(dh, f_c[t], out=row[2 * u :])
+            drh = wh.T @ dc
+            np.multiply(drh, f_r[t], out=row[u : 2 * u])
+            dhm = drh * R[t] + W_zr.T @ row[: 2 * u]
+            if m is not None:
+                dhm *= m
+            carry = dh * keep[t] + dhm
+        Dz, Dr, Dc = D[:, :u], D[:, u : 2 * u], D[:, 2 * u :]
+        db = D.sum(axis=0)[:, None]
+        grads = (
+            Dz.T @ Xd, Dz.T @ fed, db[:u],
+            Dr.T @ Xd, Dr.T @ fed, db[u : 2 * u],
+            Dc.T @ Xd, Dc.T @ (R * fed), db[2 * u :],
         )
-    return out
+        if x_const:
+            return grads
+        # one (n x u)(u x d) product per gate: a single (n x 3u)(3u x d)
+        # product starts the BLAS thread pool from about 20 tokens
+        dX = Dz @ uz + Dr @ ur + Dc @ uh
+        return (dX, *grads)
 
-
-def _run_gru(
-    cell: GruCell,
-    cols: list[Tensor],
-    tape: Tape | None,
-    rec_mask: np.ndarray | None = None,
-    reverse: bool = False,
-) -> list[Tensor]:
-    """Run the cell over a column sequence; states come back in token order."""
-    h = Tensor(np.zeros((cell.hidden_size, 1)))
-    states = []
-    for x in (reversed(cols) if reverse else cols):
-        h = gru_step(cell, x, h, tape, rec_mask)
-        states.append(h)
-    return states[::-1] if reverse else states
+    params = tuple(t for _, t in cell.parameters(""))
+    tape.record(result, params if x_const else (X, *params), vjp)
+    return result
 
 
 class BiGruLayer:
@@ -183,12 +192,6 @@ class BiGruLayer:
         )
 
 
-def matrix_columns(matrix) -> list[Tensor]:
-    """Split an (n x d) array into n constant (d x 1) column tensors."""
-    data = matrix.data if isinstance(matrix, Tensor) else np.asarray(matrix, dtype=np.float64)
-    return [Tensor(data[t].reshape(-1, 1)) for t in range(data.shape[0])]
-
-
 def bigru_forward(
     layer: BiGruLayer,
     X,
@@ -196,23 +199,11 @@ def bigru_forward(
     rec_masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> Tensor:
     """Encode an (n x d) input into (n x 2u): forward and backward states
-    concatenated per token, both directions starting from a zero state.
-
-    A Tensor input produced on the tape keeps its gradient path; raw
-    arrays (frozen embeddings) become constant columns.
-    """
-    if isinstance(X, Tensor) and tape is not None and tape.produced(X):
-        n, width = X.shape
-        flipped = nm.transpose(X, tape)
-        cols = [nm.slice_(flipped, (0, width), (t, t + 1), tape) for t in range(n)]
-    else:
-        cols = matrix_columns(X)
-    fwd = _run_gru(layer.forward_cell, cols, tape, rec_masks[0])
-    bwd = _run_gru(layer.backward_cell, cols, tape, rec_masks[1], reverse=True)
-    stacked = nm.concat(
-        [nm.concat(fwd, axis=1, tape=tape), nm.concat(bwd, axis=1, tape=tape)], axis=0, tape=tape
-    )
-    return nm.transpose(stacked, tape)
+    side by side per token, both directions starting from a zero state.
+    A Tensor input receives its gradient; a raw array is a constant."""
+    fwd = gru_sequence(layer.forward_cell, X, tape, rec_masks[0])
+    bwd = gru_sequence(layer.backward_cell, X, tape, rec_masks[1], reverse=True)
+    return nm.concat([fwd, bwd], axis=1, tape=tape)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +505,9 @@ class DBTaggerModel:
         return total_loss(self, query, mask_stream)
 
     def predict_tags(self, tokens: list[str]) -> list[str]:
-        tagged = tag_query(self, tokens)
-        return [t.schema_tag for t in tagged.tokens]
+        g_schema = model_forward(self, tokens, record=False)[2]
+        indices, _ = viterbi_decode(self.heads[2].crf, g_schema)
+        return [self.vocabs[TagLevel.SCHEMA].symbols[i] for i in indices]
 
     def gold_tags(self, query: AnnotatedQuery) -> list[str]:
         return query.tags(TagLevel.SCHEMA)
@@ -526,8 +518,10 @@ def model_forward(
     tokens: list[str],
     mode: str = "infer",
     mask_stream: MaskStream | None = None,
-) -> tuple[Tensor, Tensor, Tensor, Tape]:
-    """Emission matrices for the three heads, plus the tape that built them.
+    record: bool = True,
+) -> tuple[Tensor, Tensor, Tensor, Tape | None]:
+    """Emission matrices for the three heads, plus the tape that built them
+    (None when ``record`` is false, as for decoding).
 
     Dropout (shared-encoder recurrent states and outputs) applies only in
     train mode, with masks drawn from ``mask_stream`` in a fixed order:
@@ -537,9 +531,8 @@ def model_forward(
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if not tokens:
         raise ValueError("cannot tag an empty token list")
-    tape = Tape()
+    tape = Tape() if record else None
     X = embed_query(model.embeddings, tokens)
-    n = len(tokens)
     u = model.hidden_size
 
     rec_masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
@@ -552,21 +545,15 @@ def model_forward(
 
     H = bigru_forward(model.shared, X, tape, rec_masks)
     if out_mask is not None:
-        H = nm.dropout(H, np.tile(out_mask, (n, 1)), tape)
-    Ht = nm.transpose(H, tape)
-    cols = [nm.slice_(Ht, (0, 2 * u), (t, t + 1), tape) for t in range(n)]
+        H = nm.dropout(H, np.tile(out_mask, (len(tokens), 1)), tape)
 
     emissions = []
-    prev_states: list[Tensor] | None = None
+    prev: Tensor | None = None
     for head in model.heads:
-        states = _run_gru(head.cell, cols, tape)
-        if prev_states is None:
-            feats = states
-        else:
-            feats = [nm.concat([s, p], axis=0, tape=tape) for s, p in zip(states, prev_states)]
-        F = nm.transpose(nm.concat(feats, axis=1, tape=tape), tape)
-        emissions.append(head.crf.emissions(F, tape))
-        prev_states = states
+        states = gru_sequence(head.cell, H, tape)
+        feats = states if prev is None else nm.concat([states, prev], axis=1, tape=tape)
+        emissions.append(head.crf.emissions(feats, tape))
+        prev = states
     return emissions[0], emissions[1], emissions[2], tape
 
 
@@ -647,7 +634,7 @@ def merge_value_spans(tokens: list[TaggedToken]) -> tuple[ValueSpan, ...]:
 def tag_query(model: DBTaggerModel, tokens: list[str]) -> TaggedQuery:
     """Decode TYPE and SCHEMA tags for a tokenized query and merge value
     spans.  The POS head only shapes training; its output is discarded here."""
-    _, g_type, g_schema, _ = model_forward(model, tokens, mode="infer")
+    _, g_type, g_schema, _ = model_forward(model, tokens, record=False)
     type_head = model.heads[1]
     schema_head = model.heads[2]
     type_idx, _ = viterbi_decode(type_head.crf, g_type)
@@ -767,6 +754,8 @@ def load_model(blob: bytes) -> DBTaggerModel:
     for _ in range(reader.u32()):
         name = reader.string()
         stored[name] = reader.matrix()
+    if reader.pos != len(blob):
+        raise ValueError(f"trailing bytes after the last parameter ({len(blob) - reader.pos})")
     expected = model.parameters()
     if set(stored) != {name for name, _ in expected}:
         raise ValueError("model file parameter set does not match the architecture")

@@ -18,20 +18,13 @@ from .tagger import (
     DBTaggerModel,
     GruCell,
     MaskStream,
-    _run_gru,
     bigru_forward,
     crf_nll,
+    gru_sequence,
     viterbi_decode,
 )
 
 VARIANTS = ("CRF", "ST_Uni", "ST_Bi", "MT_Seq", "DBTagger")
-
-
-def _tape_columns(matrix: Tensor, tape: Tape | None) -> list[Tensor]:
-    """Gradient-preserving (width x 1) column views of an (n x width) tensor."""
-    n, width = matrix.shape
-    flipped = nm.transpose(matrix, tape)
-    return [nm.slice_(flipped, (0, width), (t, t + 1), tape) for t in range(n)]
 
 
 class SingleTaskTagger:
@@ -68,10 +61,12 @@ class SingleTaskTagger:
             X = np.hstack([X, self.extra_features(tokens)])
         return X
 
-    def forward(self, tokens, mode="infer", mask_stream: MaskStream | None = None):
-        tape = Tape()
-        n = len(tokens)
-        train = mode == "train"
+    def forward(
+        self, tokens, mask_stream: MaskStream | None = None, tape: Tape | None = None
+    ) -> Tensor:
+        """Emissions for one query; dropout applies when a mask stream is
+        given, drawing masks layer by layer and the output mask last."""
+        train = mask_stream is not None
         current: Tensor | np.ndarray = self.input_matrix(tokens)
         for kind, layer in self.encoder:
             if kind == "bi":
@@ -83,28 +78,22 @@ class SingleTaskTagger:
                 current = bigru_forward(layer, current, tape, masks)
             else:
                 rec_mask = mask_stream.column(layer.hidden_size) if train else None
-                if isinstance(current, Tensor):
-                    cols = _tape_columns(current, tape)
-                else:
-                    cols = [Tensor(current[t].reshape(-1, 1)) for t in range(n)]
-                states = _run_gru(layer, cols, tape, rec_mask)
-                current = nm.transpose(nm.concat(states, axis=1, tape=tape), tape)
+                current = gru_sequence(layer, current, tape, rec_mask)
         if not isinstance(current, Tensor):
             current = Tensor(current)
         if train and self.encoder:
             out_mask = mask_stream.row(current.shape[1])
-            current = nm.dropout(current, np.tile(out_mask, (n, 1)), tape)
-        return self.crf.emissions(current, tape), tape
+            current = nm.dropout(current, np.tile(out_mask, (len(tokens), 1)), tape)
+        return self.crf.emissions(current, tape)
 
     def query_loss(self, query: AnnotatedQuery, mask_stream: MaskStream | None):
-        mode = "train" if mask_stream is not None else "infer"
-        emissions, tape = self.forward(query.words, mode, mask_stream)
+        tape = Tape()
+        emissions = self.forward(query.words, mask_stream, tape)
         gold = [self.vocab.index_of(t) for t in query.tags(self.level)]
         return crf_nll(self.crf, emissions, gold, tape), tape
 
     def predict_tags(self, tokens: list[str]) -> list[str]:
-        emissions, _ = self.forward(tokens, mode="infer")
-        indices, _ = viterbi_decode(self.crf, emissions)
+        indices, _ = viterbi_decode(self.crf, self.forward(tokens))
         return [self.vocab.symbols[i] for i in indices]
 
     def gold_tags(self, query: AnnotatedQuery) -> list[str]:

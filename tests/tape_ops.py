@@ -1,0 +1,101 @@
+"""Elementwise and structural tape primitives that only tests build
+losses from; the package itself never calls them.  Each records onto a
+``dbtagger.numerics.Tape`` like the package's own primitives."""
+
+import numpy as np
+
+from dbtagger.numerics import ShapeError, Tape, Tensor
+
+
+def _check_same_shape(a: Tensor, b: Tensor, op: str):
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
+def hadamard(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    _check_same_shape(a, b, "hadamard")
+    out = Tensor(a.data * b.data)
+    if tape is not None:
+        a_data, b_data = a.data, b.data
+        tape.record(out, (a, b), lambda g: (g * b_data, g * a_data))
+    return out
+
+
+def slice_(t: Tensor, rows: tuple[int, int], cols: tuple[int, int], tape: Tape | None = None) -> Tensor:
+    r0, r1 = rows
+    c0, c1 = cols
+    m, n = t.shape
+    if not (0 <= r0 < r1 <= m and 0 <= c0 < c1 <= n):
+        raise ShapeError(f"slice: window rows={rows} cols={cols} outside shape {t.shape}")
+    out = Tensor(t.data[r0:r1, c0:c1].copy())
+    if tape is not None:
+        def vjp(g):
+            full = np.zeros((m, n))
+            full[r0:r1, c0:c1] = g
+            return (full,)
+        tape.record(out, (t,), vjp)
+    return out
+
+
+def transpose(t: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(t.data.T.copy())
+    if tape is not None:
+        tape.record(out, (t,), lambda g: (g.T,))
+    return out
+
+
+def sigmoid(t: Tensor, tape: Tape | None = None) -> Tensor:
+    # stable both tails
+    x = t.data
+    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = Tensor(out_data)
+    if tape is not None:
+        tape.record(out, (t,), lambda g: (g * out_data * (1.0 - out_data),))
+    return out
+
+
+def tanh(t: Tensor, tape: Tape | None = None) -> Tensor:
+    out_data = np.tanh(t.data)
+    out = Tensor(out_data)
+    if tape is not None:
+        tape.record(out, (t,), lambda g: (g * (1.0 - out_data * out_data),))
+    return out
+
+
+def exp(t: Tensor, tape: Tape | None = None) -> Tensor:
+    out_data = np.exp(t.data)
+    out = Tensor(out_data)
+    if tape is not None:
+        tape.record(out, (t,), lambda g: (g * out_data,))
+    return out
+
+
+def log(t: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(np.log(t.data))
+    if tape is not None:
+        t_data = t.data
+        tape.record(out, (t,), lambda g: (g / t_data,))
+    return out
+
+
+def logsumexp_rows(t: Tensor, tape: Tape | None = None) -> Tensor:
+    """Row-wise log-sum-exp with the max-shift trick, (m x n) -> (m x 1)."""
+    x = t.data
+    row_max = x.max(axis=1, keepdims=True)
+    shifted = np.exp(x - row_max)
+    sums = shifted.sum(axis=1, keepdims=True)
+    out = Tensor(row_max + np.log(sums))
+    if tape is not None:
+        softmax = shifted / sums
+        tape.record(out, (t,), lambda g: (g * softmax,))
+    return out
+
+
+def sum_all(t: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(np.array([[t.data.sum()]]))
+    if tape is not None:
+        shape = t.data.shape
+        tape.record(out, (t,), lambda g: (np.full(shape, g[0, 0]),))
+    return out
+
+

@@ -254,3 +254,32 @@ def test_error_paths_exit_nonzero(workdir, capsys):
     )
     assert status == 1
     assert "type O" in capsys.readouterr().err
+
+
+def test_tag_rejects_model_with_trailing_bytes(trained_model_path, workdir, capsys):
+    padded = workdir / "padded.bin"
+    padded.write_bytes(trained_model_path.read_bytes() + b"garbage")
+    queries = workdir / "queries.txt"
+    queries.write_text("who wrote Green Book\n")
+    assert run(["tag", "--model", str(padded), "--input", str(queries)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "trailing bytes" in captured.err
+
+
+def test_train_rejects_non_finite_embedding(workdir, capsys):
+    vectors = workdir / "nan.vec"
+    vectors.write_text("2 3\nwho nan 1 2\n")
+    status = run(
+        [
+            "train",
+            "--corpus", str(workdir / "fixture_corpus.tsv"),
+            "--schema", str(workdir / "imdb_subset.json"),
+            "--emb", str(vectors),
+            "--out", str(workdir / "never.bin"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 2" in err and "non-finite" in err
+    assert not (workdir / "never.bin").exists()

@@ -27,6 +27,12 @@ def test_mixed_dimensions_rejected():
         load_embeddings("cat 1 0 0\ndog 0 1 0 5\n")
 
 
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_component_rejected(component):
+    with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+        load_embeddings(f"2 3\nfoo {component} 1 2\n")
+
+
 def test_empty_file_rejected():
     with pytest.raises(EmbeddingFormatError, match="no vectors"):
         load_embeddings("")

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import tape_ops as ops
 from dbtagger import numerics as nm
+from dbtagger import tagger, variants
 from dbtagger.corpus import AnnotatedQuery, TagLevel, Token, build_tag_vocab, parse_corpus
 from dbtagger.embeddings import EmbeddingTable
 from dbtagger.numerics import Tape, Tensor, backward, finite_diff_check
@@ -12,13 +14,14 @@ from dbtagger.tagger import (
     CrfLayer,
     DBTaggerModel,
     GruCell,
+    MaskStream,
     TaggedToken,
     TaskWeights,
     bigru_forward,
     crf_log_partition,
     crf_nll,
     crf_score,
-    gru_step,
+    gru_sequence,
     load_model,
     merge_value_spans,
     model_forward,
@@ -27,6 +30,8 @@ from dbtagger.tagger import (
     total_loss,
     viterbi_decode,
 )
+from dbtagger.training import TrainConfig
+from dbtagger.variants import build_vocabs
 
 RNG = np.random.default_rng
 
@@ -35,12 +40,14 @@ RNG = np.random.default_rng
 # oracles, written independently of the implementation under test
 
 
-def reference_gru(cell, x, h):
-    """Separately coded GRU evaluation used as the oracle."""
+def reference_gru(cell, x, h, mask=None):
+    """Separately coded GRU evaluation used as the oracle; ``mask`` drops
+    entries of the previous state where it feeds a weight matrix."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    z = sig(cell.update_in.data.dot(x) + cell.update_rec.data.dot(h) + cell.update_bias.data)
-    r = sig(cell.reset_in.data.dot(x) + cell.reset_rec.data.dot(h) + cell.reset_bias.data)
-    cand = np.tanh(cell.cand_in.data.dot(x) + cell.cand_rec.data.dot(r * h) + cell.cand_bias.data)
+    hm = h if mask is None else h * mask
+    z = sig(cell.update_in.data.dot(x) + cell.update_rec.data.dot(hm) + cell.update_bias.data)
+    r = sig(cell.reset_in.data.dot(x) + cell.reset_rec.data.dot(hm) + cell.reset_bias.data)
+    cand = np.tanh(cell.cand_in.data.dot(x) + cell.cand_rec.data.dot(r * hm) + cell.cand_bias.data)
     return (1.0 - z) * h + z * cand
 
 
@@ -74,12 +81,15 @@ def random_crf(n, k, seed, feature_size=3):
 # GRU
 
 
+# A one-row gru_sequence is a single GRU step from the zero state.
+
+
 def test_gru_step_zero_everything():
     cell = GruCell(2, 3, RNG(0))
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
-    out = gru_step(cell, Tensor(np.ones((2, 1))), Tensor(np.zeros((3, 1))))
-    assert np.array_equal(out.data, np.zeros((3, 1)))
+    out = gru_sequence(cell, np.ones((1, 2)))
+    assert np.array_equal(out.data, np.zeros((1, 3)))
 
 
 def test_gru_step_candidate_bias_closed_form():
@@ -87,7 +97,7 @@ def test_gru_step_candidate_bias_closed_form():
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
     cell.cand_bias.data[:] = 5.0
-    out = gru_step(cell, Tensor(np.ones((2, 1))), Tensor(np.zeros((3, 1))))
+    out = gru_sequence(cell, np.ones((1, 2)))
     assert np.allclose(out.data, 0.5 * np.tanh(5.0), atol=1e-15)
 
 
@@ -95,31 +105,29 @@ def test_gru_step_matches_reference_implementation():
     rng = RNG(11)
     cell = GruCell(4, 5, rng)
     x = rng.standard_normal((4, 1))
-    h = rng.standard_normal((5, 1))
-    got = gru_step(cell, Tensor(x), Tensor(h)).data
-    assert np.allclose(got, reference_gru(cell, x, h), atol=1e-12)
+    got = gru_sequence(cell, x.T).data.T
+    assert np.allclose(got, reference_gru(cell, x, np.zeros((5, 1))), atol=1e-12)
 
 
 def test_gru_step_shape_errors():
     cell = GruCell(4, 5, RNG(0))
     with pytest.raises(nm.ShapeError):
-        gru_step(cell, Tensor(np.zeros((3, 1))), Tensor(np.zeros((5, 1))))
+        gru_sequence(cell, np.zeros((1, 3)))
     with pytest.raises(nm.ShapeError):
-        gru_step(cell, Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1))))
+        gru_sequence(cell, np.zeros((1, 4)), rec_mask=np.ones((4, 1)))
 
 
 def test_gru_step_gradients_match_fd():
     rng = RNG(12)
     cell = GruCell(3, 4, rng)
-    x = Tensor(rng.standard_normal((3, 1)))
-    h = Tensor(rng.standard_normal((4, 1)))
-    weights = Tensor(rng.standard_normal((1, 4)))
-    params = [x, h] + [t for _, t in cell.parameters("c")]
+    x = Tensor(rng.standard_normal((1, 3)))
+    weights = Tensor(rng.standard_normal((4, 1)))
+    params = [x] + [t for _, t in cell.parameters("c")]
 
     def build():
         tape = Tape()
-        out = gru_step(cell, x, h, tape)
-        return nm.sum_all(nm.matmul(weights, out, tape), tape), tape
+        out = gru_sequence(cell, x, tape)
+        return ops.sum_all(nm.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
 
@@ -127,18 +135,68 @@ def test_gru_step_gradients_match_fd():
 def test_gru_step_recurrent_mask_gradients():
     rng = RNG(13)
     cell = GruCell(3, 4, rng)
-    x = Tensor(rng.standard_normal((3, 1)))
-    h = Tensor(rng.standard_normal((4, 1)))
+    x = Tensor(rng.standard_normal((1, 3)))
     mask = (rng.random((4, 1)) > 0.5).astype(float) * 2.0
-    weights = Tensor(rng.standard_normal((1, 4)))
-    params = [x, h] + [t for _, t in cell.parameters("c")]
+    weights = Tensor(rng.standard_normal((4, 1)))
+    params = [x] + [t for _, t in cell.parameters("c")]
 
     def build():
         tape = Tape()
-        out = gru_step(cell, x, h, tape, rec_mask=mask)
-        return nm.sum_all(nm.matmul(weights, out, tape), tape), tape
+        out = gru_sequence(cell, x, tape, rec_mask=mask)
+        return ops.sum_all(nm.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gru_sequence_matches_reference_loop(reverse, masked):
+    rng = RNG(14)
+    cell = GruCell(3, 4, rng)
+    X = rng.standard_normal((6, 3))
+    mask = (rng.random((4, 1)) > 0.5) * 2.0 if masked else None
+    got = gru_sequence(cell, X, rec_mask=mask, reverse=reverse).data
+    h = np.zeros((4, 1))
+    for t in (range(5, -1, -1) if reverse else range(6)):
+        h = reference_gru(cell, X[t].reshape(-1, 1), h, mask)
+        assert np.allclose(got[t], h.ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gru_sequence_gradients_match_fd(reverse, masked):
+    rng = RNG(15)
+    cell = GruCell(3, 4, rng)
+    X = Tensor(rng.standard_normal((5, 3)))
+    mask = (rng.random((4, 1)) > 0.5) * 2.0 if masked else None
+    weights = Tensor(rng.standard_normal((5, 4)))
+    params = [X] + [t for _, t in cell.parameters("c")]
+
+    def build():
+        tape = Tape()
+        out = gru_sequence(cell, X, tape, rec_mask=mask, reverse=reverse)
+        return ops.sum_all(ops.hadamard(out, weights, tape), tape), tape
+
+    assert finite_diff_check(build, params, h=1e-6) < 1e-8
+
+
+def test_stacked_bigru_passes_gradient_to_first_layer():
+    # two stacked layers as in ST_Bi: the second consumes the first's tape output
+    rng = RNG(17)
+    first = BiGruLayer(3, 2, rng)
+    second = BiGruLayer(4, 2, rng)
+    X = rng.standard_normal((4, 3))
+    weights = Tensor(rng.standard_normal((4, 4)))
+    masks = (np.array([[2.0], [0.0]]), np.array([[0.0], [2.0]]))
+    params = [t for _, t in first.parameters("a") + second.parameters("b")]
+
+    def build():
+        tape = Tape()
+        H = bigru_forward(second, bigru_forward(first, X, tape, masks), tape)
+        return ops.sum_all(ops.hadamard(H, weights, tape), tape), tape
+
+    assert finite_diff_check(build, params, h=1e-6) < 1e-8
+    assert all(np.any(t.grad != 0.0) for _, t in first.parameters("a") if t.shape[1] == 3)
 
 
 def test_bigru_single_token_shape():
@@ -232,7 +290,7 @@ def test_log_partition_uniform_closed_form():
 def test_log_partition_single_token():
     crf, G = random_crf(1, 4, seed=25)
     crf.transitions.data[:] = 0.0
-    want = nm.logsumexp_rows(Tensor(G.data[0:1])).item()
+    want = ops.logsumexp_rows(Tensor(G.data[0:1])).item()
     assert crf_log_partition(crf, G).item() == pytest.approx(want, abs=1e-12)
 
 
@@ -475,6 +533,20 @@ def test_total_loss_gradients_match_fd():
     assert err < 1e-6
 
 
+def test_tape_length_does_not_grow_with_query_length(
+    fixture_corpus, imdb_subset, fixture_embeddings
+):
+    # every GRU sequence is one record, so no record is per token
+    model = DBTaggerModel.build(
+        fixture_embeddings, build_vocabs(fixture_corpus, imdb_subset), hidden=5, seed=0
+    )
+    longest = next(q for q in fixture_corpus.queries if len(q) == 10)
+    short = AnnotatedQuery(tokens=longest.tokens[:3])
+    for stream in (None, MaskStream(0.5, RNG(0))):
+        lengths = {len(total_loss(model, q, stream)[1]) for q in (short, longest)}
+        assert len(lengths) == 1
+
+
 def test_merge_value_spans():
     tagged = [
         TaggedToken("who", "O", "O"),
@@ -508,6 +580,22 @@ def test_tag_query_shapes_and_untrained_output():
         assert token.schema_tag in model.vocabs[TagLevel.SCHEMA].symbols
 
 
+def test_decoding_records_no_tape(monkeypatch):
+    ds, model = tiny_setup()
+    words = ds.queries[0].words
+    stage = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=3))
+    expected = (tag_query(model, words), model.predict_tags(words), stage.predict_tags(words))
+
+    def no_tape():
+        raise AssertionError("decoding built a tape")
+
+    monkeypatch.setattr(tagger, "Tape", no_tape)
+    monkeypatch.setattr(variants, "Tape", no_tape)
+    assert model_forward(model, words, record=False)[3] is None
+    assert (tag_query(model, words), model.predict_tags(words), stage.predict_tags(words)) == expected
+    assert expected[1] == [t.schema_tag for t in expected[0].tokens]
+
+
 def test_save_load_roundtrip_bit_exact():
     ds, model = tiny_setup(seed=8)
     blob = save_model(model)
@@ -525,6 +613,13 @@ def test_save_load_roundtrip_bit_exact():
 def test_load_model_rejects_bad_magic():
     with pytest.raises(ValueError, match="magic"):
         load_model(b"NOTAMODEL")
+
+
+def test_load_model_rejects_trailing_bytes():
+    _, model = tiny_setup(seed=8)
+    blob = save_model(model)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_model(blob + b"garbage")
 
 
 def test_tag_query_reproduces_table1(overfit_model, table1_query):
