@@ -10,7 +10,6 @@ collapsed.
 from __future__ import annotations
 
 import string
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .embeddings import EmbeddingTable, embed_token
 from .schema import ContentSnapshot, Schema
 
-INDEX_MAGIC = b"DBIX1"
-INDEX_VERSION = 1
 NGRAM_LIMIT = 3
 SCAN_ROW_LIMIT = 2000
 
@@ -268,61 +265,3 @@ def scan_map(
                 )
             )
     return results
-
-
-# ---------------------------------------------------------------------------
-# index persistence (magic DBIX1)
-
-
-def save_index(index: InvertedValueIndex) -> bytes:
-    out = [INDEX_MAGIC, struct.pack("<I", INDEX_VERSION)]
-    out.append(struct.pack("<I", len(index.columns)))
-    column_ids = {}
-    for i, column in enumerate(index.columns):
-        column_ids[column] = i
-        raw = column.encode("utf-8")
-        out.append(struct.pack("<I", len(raw)))
-        out.append(raw)
-    out.append(struct.pack("<I", len(index.postings)))
-    for phrase, cols in index.postings.items():
-        raw = phrase.encode("utf-8")
-        out.append(struct.pack("<I", len(raw)))
-        out.append(raw)
-        out.append(struct.pack("<I", len(cols)))
-        for column, tf in cols.items():
-            out.append(struct.pack("<II", column_ids[column], tf))
-    return b"".join(out)
-
-
-def load_index(blob: bytes) -> InvertedValueIndex:
-    if blob[: len(INDEX_MAGIC)] != INDEX_MAGIC:
-        raise ValueError("not an index file (bad magic)")
-    pos = len(INDEX_MAGIC)
-
-    def u32() -> int:
-        nonlocal pos
-        value = struct.unpack_from("<I", blob, pos)[0]
-        pos += 4
-        return value
-
-    def text() -> str:
-        nonlocal pos
-        length = u32()
-        raw = blob[pos : pos + length]
-        pos += length
-        return raw.decode("utf-8")
-
-    version = u32()
-    if version != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {version}")
-    columns = tuple(text() for _ in range(u32()))
-    postings: dict[str, dict[str, int]] = {}
-    for _ in range(u32()):
-        phrase = text()
-        cols = {}
-        for _ in range(u32()):
-            col_id = u32()
-            tf = u32()
-            cols[columns[col_id]] = tf
-        postings[phrase] = cols
-    return InvertedValueIndex(postings, columns)

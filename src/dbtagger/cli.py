@@ -1,5 +1,5 @@
-"""Command-line entry point: train, tag, eval, cv, bench, stats,
-index-build and translate subcommands.
+"""Command-line entry point: train, tag, eval, cv, bench, stats and
+translate subcommands.
 
 All randomness funnels through --seed; identical argv and input files
 produce byte-identical outputs (benchmark timings excepted, they measure
@@ -17,7 +17,7 @@ from . import baselines, evaluation, schema as schema_mod, translate as translat
 from .corpus import CorpusError, TagLevel, parse_corpus, train_val_split, validate_against_vocab
 from .embeddings import load_embeddings
 from .evaluation import MapperFamily, bench_scaling, render_report, report_as_dict, scaling_csv
-from .schema import SchemaError, SnapshotError, load_schema, load_snapshot, synthetic_snapshot
+from .schema import SchemaError, SnapshotError, load_schema, synthetic_snapshot
 from .tagger import DBTaggerModel, TaggedQuery, load_model, save_model, tag_query
 from .training import TrainConfig, cross_validate, history_lines, train
 from .variants import VARIANTS, build_vocabs
@@ -109,26 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--expected-tags", type=int, default=None, dest="expected_tags")
 
-    p = sub.add_parser("index-build", help="build and save the inverted value index")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--snapshot", required=True, help="directory of <table>.tsv files")
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("translate", help="render the SQL skeleton for a tagged query")
     p.add_argument("--schema", required=True)
     p.add_argument("--tagged", default=None, help="3-column TSV: token, type, schema")
     p.add_argument("--model", default=None)
     p.add_argument("--query", default=None, help="whitespace-tokenized query text")
     return parser
-
-
-def _load_snapshot_dir(schema, directory: str):
-    streams = {}
-    for table in schema.tables:
-        path = Path(directory) / f"{table.name}.tsv"
-        if path.exists():
-            streams[table.name] = path.read_text(encoding="utf-8")
-    return load_snapshot(schema, streams)
 
 
 def _cmd_train(args) -> int:
@@ -324,15 +310,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_index_build(args) -> int:
-    db_schema = load_schema(_read(args.schema))
-    snapshot = _load_snapshot_dir(db_schema, args.snapshot)
-    index = baselines.build_value_index(snapshot, db_schema)
-    Path(args.out).write_bytes(baselines.save_index(index))
-    print(f"indexed {len(index)} phrases over {len(index.columns)} columns into {args.out}")
-    return 0
-
-
 def _parse_tagged_tsv(text: str) -> TaggedQuery:
     from .tagger import TaggedToken, merge_value_spans
 
@@ -377,7 +354,6 @@ _COMMANDS = {
     "cv": _cmd_cv,
     "bench": _cmd_bench,
     "stats": _cmd_stats,
-    "index-build": _cmd_index_build,
     "translate": _cmd_translate,
 }
 

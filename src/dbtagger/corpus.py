@@ -123,14 +123,6 @@ class TagVocab:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def start_index(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def stop_index(self) -> int:
-        return len(self.symbols) + 1
-
     def index_of(self, symbol: str) -> int:
         try:
             return self._index[symbol]

@@ -9,7 +9,6 @@ ever asserted ordinally (faster/slower, grows/flat).
 
 from __future__ import annotations
 
-import resource
 import time
 from dataclasses import dataclass, field
 from statistics import median
@@ -200,11 +199,6 @@ class MapperFamily:
 
     name: str
     build: object  # Callable[[ContentSnapshot], tuple[Callable, int]]
-
-
-def peak_rss_bytes() -> int:
-    """OS-reported peak resident set size; informational only."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def bench_latency(

@@ -1,6 +1,7 @@
-"""The multi-task tagging network: shared bi-directional GRU encoder,
-per-task uni-directional GRUs with cross-skip connections, and linear-chain
-CRF output layers.
+"""The tagging network: a GRU encoder stack feeding task heads, each an
+optional uni-directional GRU plus a linear-chain CRF, with cross-skip
+connections between heads.  The full multi-task model and every ablation
+variant are configurations of this one network.
 
 A whole GRU sequence and the CRF score/log-partition are each registered
 on the tape as one fused primitive with a hand-derived vector-Jacobian
@@ -181,10 +182,6 @@ class BiGruLayer:
         self.hidden_size = hidden_size
         self.forward_cell = GruCell(input_size, hidden_size, rng)
         self.backward_cell = GruCell(input_size, hidden_size, rng)
-
-    @property
-    def output_size(self) -> int:
-        return 2 * self.hidden_size
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return self.forward_cell.parameters(f"{prefix}.fwd") + self.backward_cell.parameters(
@@ -395,8 +392,14 @@ class TaskWeights:
 
 
 class TaskHead:
-    def __init__(self, level: TagLevel, cell: GruCell, crf: CrfLayer, skip_width: int):
-        if crf.feature_size != cell.hidden_size + skip_width:
+    """One tag level: a uni-directional GRU over the encoder output (or
+    none, so the CRF reads the encoder output directly) and a CRF whose
+    features are the GRU states plus ``skip_width`` columns of skip input."""
+
+    def __init__(
+        self, level: TagLevel, cell: GruCell | None, crf: CrfLayer, skip_width: int = 0
+    ):
+        if cell is not None and crf.feature_size != cell.hidden_size + skip_width:
             raise nm.ShapeError(
                 f"{level.value} head: CRF expects {crf.feature_size} features, "
                 f"head provides {cell.hidden_size + skip_width}"
@@ -408,7 +411,8 @@ class TaskHead:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         prefix = f"head.{self.level.value}"
-        return self.cell.parameters(f"{prefix}.gru") + self.crf.parameters(f"{prefix}.crf")
+        gru = [] if self.cell is None else self.cell.parameters(f"{prefix}.gru")
+        return gru + self.crf.parameters(f"{prefix}.crf")
 
 
 class MaskStream:
@@ -434,20 +438,28 @@ HEAD_ORDER = (TagLevel.POS, TagLevel.TYPE, TagLevel.SCHEMA)
 
 
 class DBTaggerModel:
-    """Shared bi-GRU encoder feeding POS, TYPE and SCHEMA heads in order,
-    each head a uni-directional GRU plus CRF, with the previous head's GRU
-    outputs concatenated into the next head's emission features."""
+    """A stack of GRU encoder layers feeding one or more task heads in POS,
+    TYPE, SCHEMA order, with each head's states concatenated into the next
+    head's emission features.
+
+    ``encoder`` holds (parameter prefix, GruCell | BiGruLayer) pairs.
+    ``extra_features``, when given, maps tokens to columns appended to the
+    word vectors.  The full model (``build``) is one shared bi-GRU and three
+    heads; the ablation variants drop parts of it.
+    """
 
     def __init__(
         self,
         embeddings: EmbeddingTable,
-        shared: BiGruLayer,
+        encoder: list[tuple[str, GruCell | BiGruLayer]],
         heads: list[TaskHead],
         vocabs: dict[TagLevel, TagVocab],
         weights: TaskWeights,
         dropout_rate: float,
+        extra_features=None,
     ):
-        if tuple(h.level for h in heads) != HEAD_ORDER:
+        ranks = [HEAD_ORDER.index(h.level) for h in heads]
+        if not ranks or ranks != sorted(set(ranks)):
             raise ValueError("heads must be ordered POS, TYPE, SCHEMA")
         for head in heads:
             if vocabs[head.level].size != head.crf.tag_count:
@@ -456,11 +468,12 @@ class DBTaggerModel:
                     f"CRF tag count {head.crf.tag_count}"
                 )
         self.embeddings = embeddings
-        self.shared = shared
+        self.encoder = encoder
         self.heads = heads
         self.vocabs = vocabs
         self.weights = weights
         self.dropout_rate = dropout_rate
+        self.extra_features = extra_features
 
     @classmethod
     def build(
@@ -481,14 +494,16 @@ class DBTaggerModel:
             cell = GruCell(2 * u, u, rng)
             crf = CrfLayer(vocabs[level].size, u + skip, rng)
             heads.append(TaskHead(level, cell, crf, skip))
-        return cls(embeddings, shared, heads, vocabs, weights, dropout_rate)
+        return cls(embeddings, [("shared", shared)], heads, vocabs, weights, dropout_rate)
 
     @property
     def hidden_size(self) -> int:
-        return self.shared.hidden_size
+        return self.encoder[0][1].hidden_size
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        params = self.shared.parameters("shared")
+        params = []
+        for prefix, layer in self.encoder:
+            params += layer.parameters(prefix)
         for head in self.heads:
             params += head.parameters()
         return params
@@ -505,12 +520,13 @@ class DBTaggerModel:
         return total_loss(self, query, mask_stream)
 
     def predict_tags(self, tokens: list[str]) -> list[str]:
-        g_schema = model_forward(self, tokens, record=False)[2]
-        indices, _ = viterbi_decode(self.heads[2].crf, g_schema)
-        return [self.vocabs[TagLevel.SCHEMA].symbols[i] for i in indices]
+        """Viterbi tags of the last head."""
+        head = self.heads[-1]
+        indices, _ = viterbi_decode(head.crf, model_forward(self, tokens, record=False)[-2])
+        return [self.vocabs[head.level].symbols[i] for i in indices]
 
     def gold_tags(self, query: AnnotatedQuery) -> list[str]:
-        return query.tags(TagLevel.SCHEMA)
+        return query.tags(self.heads[-1].level)
 
 
 def model_forward(
@@ -519,42 +535,48 @@ def model_forward(
     mode: str = "infer",
     mask_stream: MaskStream | None = None,
     record: bool = True,
-) -> tuple[Tensor, Tensor, Tensor, Tape | None]:
-    """Emission matrices for the three heads, plus the tape that built them
-    (None when ``record`` is false, as for decoding).
+) -> tuple:
+    """Emission matrices of the heads in order, followed by the tape that
+    built them (None when ``record`` is false, as for decoding).
 
-    Dropout (shared-encoder recurrent states and outputs) applies only in
-    train mode, with masks drawn from ``mask_stream`` in a fixed order:
-    forward recurrent, backward recurrent, encoder output.
+    Dropout applies only in train mode and only to the encoder, with masks
+    drawn from ``mask_stream`` layer by layer (a bi-directional layer's
+    forward, then backward recurrent mask) and then one mask on the encoder
+    output.  An empty encoder draws no mask.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if not tokens:
         raise ValueError("cannot tag an empty token list")
+    train = mode == "train"
+    if train and mask_stream is None:
+        raise ValueError("train mode needs a mask stream")
     tape = Tape() if record else None
     X = embed_query(model.embeddings, tokens)
-    u = model.hidden_size
+    if model.extra_features is not None:
+        X = np.hstack([X, model.extra_features(tokens)])
 
-    rec_masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
-    out_mask = None
-    if mode == "train":
-        if mask_stream is None:
-            raise ValueError("train mode needs a mask stream")
-        rec_masks = (mask_stream.column(u), mask_stream.column(u))
-        out_mask = mask_stream.row(2 * u)
-
-    H = bigru_forward(model.shared, X, tape, rec_masks)
-    if out_mask is not None:
-        H = nm.dropout(H, np.tile(out_mask, (len(tokens), 1)), tape)
+    H = X
+    for _, layer in model.encoder:
+        u = layer.hidden_size
+        if isinstance(layer, BiGruLayer):
+            masks = (mask_stream.column(u), mask_stream.column(u)) if train else (None, None)
+            H = bigru_forward(layer, H, tape, masks)
+        else:
+            H = gru_sequence(layer, H, tape, mask_stream.column(u) if train else None)
+    if not model.encoder:
+        H = Tensor(X)
+    elif train:
+        H = nm.dropout(H, np.tile(mask_stream.row(H.shape[1]), (len(tokens), 1)), tape)
 
     emissions = []
     prev: Tensor | None = None
     for head in model.heads:
-        states = gru_sequence(head.cell, H, tape)
+        states = H if head.cell is None else gru_sequence(head.cell, H, tape)
         feats = states if prev is None else nm.concat([states, prev], axis=1, tape=tape)
         emissions.append(head.crf.emissions(feats, tape))
         prev = states
-    return emissions[0], emissions[1], emissions[2], tape
+    return (*emissions, tape)
 
 
 def total_loss(
@@ -562,22 +584,21 @@ def total_loss(
     query: AnnotatedQuery,
     mask_stream: MaskStream | None = None,
 ) -> tuple[Tensor, Tape]:
-    """Weighted sum of the three per-task CRF losses for one query."""
-    tokens = query.words
+    """Task-weighted sum of the heads' CRF losses for one query, folded
+    left in head order: ((w_pos*L_pos + w_type*L_type) + w_schema*L_schema)."""
     mode = "train" if mask_stream is not None else "infer"
-    g_pos, g_type, g_schema, tape = model_forward(model, tokens, mode, mask_stream)
+    *emissions, tape = model_forward(model, query.words, mode, mask_stream)
     losses = []
-    for head, emission in zip(model.heads, (g_pos, g_type, g_schema)):
+    for head, emission in zip(model.heads, emissions):
         vocab = model.vocabs[head.level]
         gold = [vocab.index_of(t) for t in query.tags(head.level)]
         losses.append(crf_nll(head.crf, emission, gold, tape))
-    w_pos, w_type, w_schema = model.weights.as_tuple()
-    weighted = nm.add(
-        nm.add(nm.scale(losses[0], w_pos, tape), nm.scale(losses[1], w_type, tape), tape),
-        nm.scale(losses[2], w_schema, tape),
-        tape,
-    )
-    return weighted, tape
+    weight = dict(zip(HEAD_ORDER, model.weights.as_tuple()))
+    total = None
+    for head, loss in zip(model.heads, losses):
+        term = nm.scale(loss, weight[head.level], tape)
+        total = term if total is None else nm.add(total, term, tape)
+    return total, tape
 
 
 @dataclass(frozen=True)

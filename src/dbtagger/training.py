@@ -151,7 +151,9 @@ def train(
     params = [t for _, t in trainable.parameters()]
     shuffle_rng = random.Random(config.seed)
     mask_stream = MaskStream(config.dropout, np.random.default_rng([config.seed, 0xD0]))
-    adadelta = AdadeltaState(params, rho=config.adadelta_rho, eps=config.adadelta_eps)
+    adadelta: AdadeltaState | None = AdadeltaState(
+        params, rho=config.adadelta_rho, eps=config.adadelta_eps
+    )
     nadam: NadamState | None = None
     eval_set = val if val is not None else dataset
     history: list[EpochRecord] = []
@@ -164,6 +166,7 @@ def train(
         else:
             phase = "nadam"
             if nadam is None:
+                adadelta = None  # release its accumulators before Nadam allocates
                 nadam = NadamState(
                     params,
                     alpha=config.nadam_alpha,

@@ -1,103 +1,37 @@
-"""Alternative tagging architectures benchmarked against the full model:
-a plain CRF over word vectors, single-task uni/bi GRU stacks, and the
-staged multi-task pipeline where each task consumes the previous task's
-predicted tags as one-hot inputs."""
+"""The paper's ablations as configurations of the tagging network
+(``tagger.DBTaggerModel``): a plain CRF over word vectors, single-task
+uni/bi GRU stacks, and the staged multi-task pipeline where each task
+consumes the previous task's predicted tags as one-hot inputs."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import numerics as nm
 from .corpus import AnnotatedQuery, Dataset, TagLevel, build_tag_vocab
-from .embeddings import EmbeddingTable, embed_query
-from .numerics import Tape, Tensor
+from .embeddings import EmbeddingTable
+from .numerics import Tensor
 from .schema import Schema, derive_schema_tags
 from .tagger import (
+    HEAD_ORDER,
     BiGruLayer,
     CrfLayer,
     DBTaggerModel,
     GruCell,
-    MaskStream,
-    bigru_forward,
-    crf_nll,
-    gru_sequence,
-    viterbi_decode,
+    TaskHead,
+    TaskWeights,
 )
 
 VARIANTS = ("CRF", "ST_Uni", "ST_Bi", "MT_Seq", "DBTagger")
 
 
-class SingleTaskTagger:
-    """GRU encoder stack (possibly empty) feeding one CRF over one tag level."""
-
-    def __init__(
-        self,
-        level: TagLevel,
-        vocab,
-        embeddings: EmbeddingTable,
-        encoder: list[tuple[str, object]],
-        crf: CrfLayer,
-        dropout_rate: float,
-        extra_features=None,
-    ):
-        self.level = level
-        self.vocab = vocab
-        self.embeddings = embeddings
-        self.encoder = encoder  # list of ("uni", GruCell) | ("bi", BiGruLayer)
-        self.crf = crf
-        self.dropout_rate = dropout_rate
-        self.extra_features = extra_features
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        params = []
-        for i, (kind, layer) in enumerate(self.encoder):
-            params += layer.parameters(f"enc{i}.{kind}")
-        params += self.crf.parameters("crf")
-        return params
-
-    def input_matrix(self, tokens: list[str]) -> np.ndarray:
-        X = embed_query(self.embeddings, tokens)
-        if self.extra_features is not None:
-            X = np.hstack([X, self.extra_features(tokens)])
-        return X
-
-    def forward(
-        self, tokens, mask_stream: MaskStream | None = None, tape: Tape | None = None
-    ) -> Tensor:
-        """Emissions for one query; dropout applies when a mask stream is
-        given, drawing masks layer by layer and the output mask last."""
-        train = mask_stream is not None
-        current: Tensor | np.ndarray = self.input_matrix(tokens)
-        for kind, layer in self.encoder:
-            if kind == "bi":
-                masks = (
-                    (mask_stream.column(layer.hidden_size), mask_stream.column(layer.hidden_size))
-                    if train
-                    else (None, None)
-                )
-                current = bigru_forward(layer, current, tape, masks)
-            else:
-                rec_mask = mask_stream.column(layer.hidden_size) if train else None
-                current = gru_sequence(layer, current, tape, rec_mask)
-        if not isinstance(current, Tensor):
-            current = Tensor(current)
-        if train and self.encoder:
-            out_mask = mask_stream.row(current.shape[1])
-            current = nm.dropout(current, np.tile(out_mask, (len(tokens), 1)), tape)
-        return self.crf.emissions(current, tape)
-
-    def query_loss(self, query: AnnotatedQuery, mask_stream: MaskStream | None):
-        tape = Tape()
-        emissions = self.forward(query.words, mask_stream, tape)
-        gold = [self.vocab.index_of(t) for t in query.tags(self.level)]
-        return crf_nll(self.crf, emissions, gold, tape), tape
-
-    def predict_tags(self, tokens: list[str]) -> list[str]:
-        indices, _ = viterbi_decode(self.crf, self.forward(tokens))
-        return [self.vocab.symbols[i] for i in indices]
-
-    def gold_tags(self, query: AnnotatedQuery) -> list[str]:
-        return query.tags(self.level)
+def _single_task(
+    level: TagLevel, vocabs, embeddings, encoder, crf: CrfLayer, dropout_rate, extra_features=None
+) -> DBTaggerModel:
+    """The network with one head at ``level`` whose CRF reads the encoder
+    output directly; all of the loss weight sits on that head."""
+    weights = TaskWeights(*(float(other == level) for other in HEAD_ORDER))
+    head = TaskHead(level, None, crf)
+    return DBTaggerModel(embeddings, encoder, [head], vocabs, weights, dropout_rate, extra_features)
 
 
 def _one_hot_features(previous, vocab):
@@ -127,15 +61,14 @@ class MtSeqTagger:
         self.hidden = hidden
         self.dropout_rate = dropout_rate
         self.seed = seed
-        self.stages: dict[TagLevel, SingleTaskTagger] = {}
+        self.stages: dict[TagLevel, DBTaggerModel] = {}
 
-    def _make_stage(self, level: TagLevel, input_size: int, extra_features, rng) -> SingleTaskTagger:
+    def _make_stage(self, level: TagLevel, input_size: int, extra_features, rng) -> DBTaggerModel:
         u = self.hidden
-        encoder = [("bi", BiGruLayer(input_size, u, rng)), ("uni", GruCell(2 * u, u, rng))]
+        encoder = [("enc0.bi", BiGruLayer(input_size, u, rng)), ("enc1.uni", GruCell(2 * u, u, rng))]
         crf = CrfLayer(self.vocabs[level].size, u, rng)
-        return SingleTaskTagger(
-            level, self.vocabs[level], self.embeddings, encoder, crf,
-            self.dropout_rate, extra_features,
+        return _single_task(
+            level, self.vocabs, self.embeddings, encoder, crf, self.dropout_rate, extra_features
         )
 
     def fit(self, dataset: Dataset, config, val: Dataset | None = None):
@@ -143,15 +76,14 @@ class MtSeqTagger:
 
         rng = np.random.default_rng(config.seed)
         d = self.embeddings.dimension
-        order = (TagLevel.POS, TagLevel.TYPE, TagLevel.SCHEMA)
         history = None
         previous = None
-        for i, level in enumerate(order):
+        for i, level in enumerate(HEAD_ORDER):
             if previous is None:
                 extra, width = None, 0
             else:
-                extra = _one_hot_features(previous, self.vocabs[order[i - 1]])
-                width = self.vocabs[order[i - 1]].size
+                extra = _one_hot_features(previous, self.vocabs[HEAD_ORDER[i - 1]])
+                width = self.vocabs[HEAD_ORDER[i - 1]].size
             stage = self._make_stage(level, d + width, extra, rng)
             history = train(stage, dataset, config, val=val)
             self.stages[level] = stage
@@ -190,7 +122,6 @@ def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config):
     u = config.hidden
     d = embeddings.dimension
     rng = np.random.default_rng(config.seed)
-    schema_vocab = vocabs[TagLevel.SCHEMA]
     if name == "DBTagger":
         return DBTaggerModel.build(
             embeddings,
@@ -200,26 +131,19 @@ def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config):
             dropout_rate=config.dropout,
             seed=config.seed,
         )
-    if name == "CRF":
-        crf = CrfLayer(schema_vocab.size, d, rng)
-        return SingleTaskTagger(
-            TagLevel.SCHEMA, schema_vocab, embeddings, [], crf, config.dropout
-        )
-    if name == "ST_Uni":
-        encoder = [("uni", GruCell(d, u, rng)), ("uni", GruCell(u, u, rng))]
-        crf = CrfLayer(schema_vocab.size, u, rng)
-        return SingleTaskTagger(
-            TagLevel.SCHEMA, schema_vocab, embeddings, encoder, crf, config.dropout
-        )
-    if name == "ST_Bi":
-        encoder = [("bi", BiGruLayer(d, u, rng)), ("bi", BiGruLayer(2 * u, u, rng))]
-        crf = CrfLayer(schema_vocab.size, 2 * u, rng)
-        return SingleTaskTagger(
-            TagLevel.SCHEMA, schema_vocab, embeddings, encoder, crf, config.dropout
-        )
     if name == "MT_Seq":
         return MtSeqTagger(embeddings, vocabs, u, config.dropout, config.seed)
-    raise ValueError(f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}")
+    if name == "CRF":
+        encoder, width = [], d
+    elif name == "ST_Uni":
+        encoder, width = [("enc0.uni", GruCell(d, u, rng)), ("enc1.uni", GruCell(u, u, rng))], u
+    elif name == "ST_Bi":
+        encoder = [("enc0.bi", BiGruLayer(d, u, rng)), ("enc1.bi", BiGruLayer(2 * u, u, rng))]
+        width = 2 * u
+    else:
+        raise ValueError(f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}")
+    crf = CrfLayer(vocabs[TagLevel.SCHEMA].size, width, rng)
+    return _single_task(TagLevel.SCHEMA, vocabs, embeddings, encoder, crf, config.dropout)
 
 
 def fit_variant(name, train_ds: Dataset, full_ds: Dataset, schema, embeddings, config):

@@ -10,9 +10,7 @@ from dbtagger.baselines import (
     edit_distance,
     edit_distance_relation_map,
     embedding_similarity_map,
-    load_index,
     normalize,
-    save_index,
     scan_map,
     tfidf_map,
     word_ngrams,
@@ -307,20 +305,6 @@ def test_scan_map_row_cap_makes_ties_deterministic():
     # both columns cap at 2000; the tie resolves lexicographically
     assert results[0].score == 2000.0
     assert results[0].target == "a.x"
-
-
-def test_index_save_load_roundtrip(movie_snapshot, imdb_subset):
-    index = build_value_index(movie_snapshot, imdb_subset)
-    blob = save_index(index)
-    again = load_index(blob)
-    assert again.postings == index.postings
-    assert again.columns == index.columns
-    assert save_index(again) == blob
-
-
-def test_load_index_rejects_bad_magic():
-    with pytest.raises(ValueError, match="magic"):
-        load_index(b"JUNKJUNK")
 
 
 def test_cosine_zero_vector_is_zero():

@@ -13,7 +13,6 @@ def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
     for name in ("fixture_corpus.tsv", "imdb_subset.json", "fixture_embeddings.vec", "table1.tsv"):
         shutil.copy(FIXTURES / name, path / name)
-    shutil.copytree(FIXTURES / "snapshot", path / "snapshot")
     return path
 
 
@@ -124,24 +123,6 @@ def test_stats_byte_identical_across_runs(capsys):
     first = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == first
-
-
-def test_index_build(workdir, capsys):
-    out = workdir / "values.idx"
-    status = run(
-        [
-            "index-build",
-            "--schema", str(workdir / "imdb_subset.json"),
-            "--snapshot", str(workdir / "snapshot"),
-            "--out", str(out),
-        ]
-    )
-    assert status == 0
-    assert out.read_bytes().startswith(b"DBIX1")
-    from dbtagger.baselines import load_index
-
-    index = load_index(out.read_bytes())
-    assert "the truman show" in index.postings
 
 
 def test_translate_from_tagged_file(workdir, capsys):

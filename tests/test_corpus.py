@@ -81,7 +81,6 @@ def test_build_tag_vocab_table1(table1_text):
     vocab = build_tag_vocab(ds, TagLevel.SCHEMA)
     assert vocab.symbols == ("COND", "O", "cast", "cast.role", "movie", "movie.title")
     assert vocab.size == 6
-    assert vocab.start_index == 6 and vocab.stop_index == 7
     assert vocab.index_of("cast") == 2
     assert "movie" in vocab and "people" not in vocab
 

@@ -547,6 +547,56 @@ def test_tape_length_does_not_grow_with_query_length(
         assert len(lengths) == 1
 
 
+@pytest.mark.parametrize("name", ["CRF", "ST_Uni", "ST_Bi"])
+def test_single_head_loss_is_its_crf_nll(name):
+    ds, model = tiny_setup()
+    net = variants.make_variant(name, model.vocabs, model.embeddings, TrainConfig(hidden=3, seed=4))
+    (head,) = net.heads
+    query = ds.queries[0]
+    gold = [net.vocabs[head.level].index_of(t) for t in query.tags(head.level)]
+
+    def value_and_grads(build):
+        for _, p in net.parameters():
+            p.zero_grad()
+        value, tape = build()
+        backward(tape, value)
+        return value.item(), [p.grad for _, p in net.parameters()]
+
+    def nll():
+        emissions, tape = model_forward(net, query.words)
+        return crf_nll(head.crf, emissions, gold, tape), tape
+
+    want, want_grads = value_and_grads(nll)
+    got, got_grads = value_and_grads(lambda: total_loss(net, query))
+    assert got == want
+    assert all(np.array_equal(a, b) for a, b in zip(got_grads, want_grads))
+
+
+def test_st_bi_train_forward_draws_masks_layer_by_layer(monkeypatch):
+    ds, model = tiny_setup()
+    u = 3
+    words = ds.queries[0].words
+    net = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=u))
+    applied = []
+    real_dropout = nm.dropout
+
+    def spy(t, mask, tape=None):
+        applied.append(mask)
+        return real_dropout(t, mask, tape)
+
+    monkeypatch.setattr(nm, "dropout", spy)
+    rng = RNG(11)
+    model_forward(net, words, mode="train", mask_stream=MaskStream(0.5, rng))
+    replay_rng = RNG(11)
+    replay = MaskStream(0.5, replay_rng)
+    for _ in range(4):  # forward, backward recurrent mask of each bi-GRU layer
+        replay.column(u)
+    out_mask = replay.row(2 * u)  # encoder output, drawn last
+    assert rng.bit_generator.state == replay_rng.bit_generator.state
+    (mask,) = applied
+    assert np.array_equal(mask, np.tile(out_mask, (len(words), 1)))
+
+
 def test_merge_value_spans():
     tagged = [
         TaggedToken("who", "O", "O"),
@@ -590,7 +640,6 @@ def test_decoding_records_no_tape(monkeypatch):
         raise AssertionError("decoding built a tape")
 
     monkeypatch.setattr(tagger, "Tape", no_tape)
-    monkeypatch.setattr(variants, "Tape", no_tape)
     assert model_forward(model, words, record=False)[3] is None
     assert (tag_query(model, words), model.predict_tags(words), stage.predict_tags(words)) == expected
     assert expected[1] == [t.schema_tag for t in expected[0].tokens]

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from dbtagger import numerics as nm
+from dbtagger import training, variants
 from dbtagger.corpus import Dataset, TagLevel, build_tag_vocab, parse_corpus
 from dbtagger.embeddings import EmbeddingTable
 from dbtagger.numerics import Tape, Tensor
@@ -146,6 +149,49 @@ def test_training_is_deterministic(fixture_corpus):
         finals.append(np.concatenate([t.data.ravel() for _, t in model.parameters()]))
     assert histories[0] == histories[1]  # bit-identical loss history
     assert np.array_equal(finals[0], finals[1])
+
+
+def test_adadelta_state_released_at_the_switch(fixture_corpus, monkeypatch):
+    small = Dataset(queries=fixture_corpus.queries[:8], name="small")
+    config = TrainConfig(hidden=8, epochs=4, switch_epoch=2, seed=21)
+    unpatched = train(_mini_model(small, hidden=8, seed=21), small, config)
+    refs, dead_at_nadam = [], []
+
+    class TrackedAdadelta(training.AdadeltaState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    class TrackedNadam(training.NadamState):
+        def __init__(self, *args, **kwargs):
+            gc.collect()
+            dead_at_nadam.append(refs[0]() is None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(training, "AdadeltaState", TrackedAdadelta)
+    monkeypatch.setattr(training, "NadamState", TrackedNadam)
+    history = train(_mini_model(small, hidden=8, seed=21), small, config)
+    assert dead_at_nadam == [True]
+    assert history == unpatched
+
+
+@pytest.mark.parametrize("name", variants.VARIANTS)
+def test_seeded_fits_of_each_variant_agree(name, fixture_corpus, imdb_subset, fixture_embeddings):
+    small = Dataset(queries=fixture_corpus.queries[:6], name="small")
+    config = TrainConfig(hidden=4, epochs=2, switch_epoch=1, seed=3)
+    runs = []
+    for _ in range(2):
+        vocabs = variants.build_vocabs(fixture_corpus, imdb_subset)
+        model = variants.make_variant(name, vocabs, fixture_embeddings, config)
+        if isinstance(model, variants.MtSeqTagger):
+            history = model.fit(small, config)
+        else:
+            history = train(model, small, config)
+        runs.append((history, model.parameters()))
+    (history_a, params_a), (history_b, params_b) = runs
+    assert history_a == history_b
+    assert [n for n, _ in params_a] == [n for n, _ in params_b]
+    assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in zip(params_a, params_b))
 
 
 def test_loss_trend_on_fixture(fixture_corpus):
