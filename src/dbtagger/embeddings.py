@@ -54,6 +54,10 @@ class EmbeddingTable:
     ):
         if dimension <= 0:
             raise ValueError(f"dimension must be positive, got {dimension}")
+        if not 1 <= bucket_count < 1 << 64:
+            raise ValueError(f"bucket count must lie in 1..2^64-1, got {bucket_count}")
+        if not 0 <= subword_seed < 1 << 64:
+            raise ValueError(f"subword seed must lie in 0..2^64-1, got {subword_seed}")
         self.dimension = dimension
         self.vectors = vectors
         self.bucket_count = bucket_count
@@ -131,9 +135,17 @@ def load_embeddings(stream, expected_dim: int | None = None) -> EmbeddingTable:
             if line.startswith("#subword"):
                 for part in line.split()[1:]:
                     key, _, value = part.partition("=")
+                    if key not in ("B", "seed"):
+                        continue
+                    low = 1 if key == "B" else 0
+                    if not (value.isdecimal() and low <= int(value) < 1 << 64):
+                        raise EmbeddingFormatError(
+                            f"#subword {key} must be an integer in {low}..2^64-1, got {value!r}",
+                            line=lineno,
+                        )
                     if key == "B":
                         bucket_count = int(value)
-                    elif key == "seed":
+                    else:
                         subword_seed = int(value)
             continue
         fields = line.split()

@@ -87,6 +87,20 @@ class Schema:
         return [t.name for t in self.tables]
 
 
+def _field(obj, key: str, kind: type, where: str, default=None, required: bool = False):
+    """``obj[key]`` checked to be a ``kind``; absent or null gives the default."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    value = obj.get(key)
+    if value is None:
+        if required:
+            raise SchemaError(f"{where} has no {key!r}")
+        return default
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where}.{key} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def load_schema(stream) -> Schema:
     """Load and validate a schema from its JSON representation."""
     text = stream if isinstance(stream, str) else stream.read()
@@ -95,19 +109,24 @@ def load_schema(stream) -> Schema:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid schema JSON: {exc}") from None
     tables = []
-    for t in raw.get("tables", []):
-        attrs = tuple(
-            Attribute(
-                name=a["name"],
-                is_pk=bool(a.get("pk", False)),
-                is_fk=bool(a.get("fk", False)),
-                ref_table=a.get("ref"),
-                kind=a.get("kind", "text"),
+    for i, t in enumerate(_field(raw, "tables", list, "schema", default=[])):
+        where = f"tables[{i}]"
+        name = _field(t, "name", str, where, required=True)
+        attrs = []
+        for j, a in enumerate(_field(t, "attributes", list, where, default=[])):
+            at = f"{where}.attributes[{j}]"
+            attrs.append(
+                Attribute(
+                    name=_field(a, "name", str, at, required=True),
+                    is_pk=_field(a, "pk", bool, at, default=False),
+                    is_fk=_field(a, "fk", bool, at, default=False),
+                    ref_table=_field(a, "ref", str, at),
+                    kind=_field(a, "kind", str, at, default="text"),
+                )
             )
-            for a in t.get("attributes", [])
-        )
-        tables.append(Table(name=t["name"], kind=t["kind"], attributes=attrs))
-    return Schema(name=raw.get("name", "schema"), tables=tuple(tables))
+        kind = _field(t, "kind", str, where, required=True)
+        tables.append(Table(name=name, kind=kind, attributes=tuple(attrs)))
+    return Schema(name=_field(raw, "name", str, "schema", default="schema"), tables=tuple(tables))
 
 
 def derive_schema_tags(schema: Schema) -> TagVocab:

@@ -24,7 +24,7 @@ from .embeddings import EmbeddingTable, embed_query
 from .numerics import Tape, Tensor
 
 MODEL_MAGIC = b"DBTG1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -32,33 +32,27 @@ MODEL_VERSION = 1
 
 
 class GruCell:
-    """Gated recurrent unit with update/reset gates and a tanh candidate."""
+    """Gated recurrent unit with update/reset gates and a tanh candidate.
+
+    The gates are stored stacked, rows in update, reset, candidate order:
+    ``input`` (3u x d), ``recurrent`` (3u x u) and ``bias`` (3u x 1).
+    """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.input_size = input_size
         self.hidden_size = hidden_size
         u, d = hidden_size, input_size
-        self.update_in = Tensor(_glorot(rng, (u, d)))
-        self.update_rec = Tensor(_glorot(rng, (u, u)))
-        self.update_bias = Tensor(np.zeros((u, 1)))
-        self.reset_in = Tensor(_glorot(rng, (u, d)))
-        self.reset_rec = Tensor(_glorot(rng, (u, u)))
-        self.reset_bias = Tensor(np.zeros((u, 1)))
-        self.cand_in = Tensor(_glorot(rng, (u, d)))
-        self.cand_rec = Tensor(_glorot(rng, (u, u)))
-        self.cand_bias = Tensor(np.zeros((u, 1)))
+        # drawn gate by gate, input block then recurrent block
+        blocks = [_glorot(rng, shape) for _ in range(3) for shape in ((u, d), (u, u))]
+        self.input = Tensor(np.vstack(blocks[0::2]))
+        self.recurrent = Tensor(np.vstack(blocks[1::2]))
+        self.bias = Tensor(np.zeros((3 * u, 1)))
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [
-            (f"{prefix}.update_in", self.update_in),
-            (f"{prefix}.update_rec", self.update_rec),
-            (f"{prefix}.update_bias", self.update_bias),
-            (f"{prefix}.reset_in", self.reset_in),
-            (f"{prefix}.reset_rec", self.reset_rec),
-            (f"{prefix}.reset_bias", self.reset_bias),
-            (f"{prefix}.cand_in", self.cand_in),
-            (f"{prefix}.cand_rec", self.cand_rec),
-            (f"{prefix}.cand_bias", self.cand_bias),
+            (f"{prefix}.input", self.input),
+            (f"{prefix}.recurrent", self.recurrent),
+            (f"{prefix}.bias", self.bias),
         ]
 
 
@@ -87,8 +81,8 @@ def gru_sequence(
     The whole sequence is one tape record.  Each step uses matrix-vector
     products only: a sentence-wide input GEMM wakes the BLAS thread pool on
     long queries (see README).  The backward pass loops over the recurrent
-    state alone, then forms each weight gradient as one product over all
-    steps.
+    state alone, then forms each gate's weight gradient as one product over
+    all steps.
     """
     u, d = cell.hidden_size, cell.input_size
     x_const = not isinstance(X, Tensor)
@@ -98,14 +92,9 @@ def gru_sequence(
     if rec_mask is not None and rec_mask.shape != (u, 1):
         raise nm.ShapeError(f"gru_sequence: mask shape {rec_mask.shape}, expected {(u, 1)}")
     n = Xd.shape[0]
-    uz, wz, bz = cell.update_in.data, cell.update_rec.data, cell.update_bias.data
-    ur, wr, br = cell.reset_in.data, cell.reset_rec.data, cell.reset_bias.data
-    uh, wh, bh = cell.cand_in.data, cell.cand_rec.data, cell.cand_bias.data
-    # gate rows stacked update, reset, candidate; the backward pass keeps
-    # no stacked copy, so a live tape holds only the parameters themselves
-    U = np.vstack((uz, ur, uh))
-    W = np.vstack((wz, wr))
-    b = np.vstack((bz, br, bh))[:, 0]
+    # row views of the stored gates; nothing here copies a parameter
+    U, b = cell.input.data, cell.bias.data[:, 0]
+    W_zr, W_c = cell.recurrent.data[: 2 * u], cell.recurrent.data[2 * u :]
     m = None if rec_mask is None else rec_mask[:, 0]
     steps = range(n - 1, -1, -1) if reverse else range(n)
     record = tape is not None
@@ -118,9 +107,9 @@ def gru_sequence(
     for t in steps:
         a = U @ Xd[t] + b
         hm = h if m is None else h * m
-        zr = 0.5 + 0.5 * np.tanh(0.5 * (a[: 2 * u] + W @ hm))
+        zr = 0.5 + 0.5 * np.tanh(0.5 * (a[: 2 * u] + W_zr @ hm))
         z, r = zr[:u], zr[u:]
-        c = np.tanh(a[2 * u :] + wh @ (r * hm))
+        c = np.tanh(a[2 * u :] + W_c @ (r * hm))
         h = h + z * (c - h)
         out[t] = h
         if record:
@@ -144,7 +133,6 @@ def gru_sequence(
         f_r = fed * R * (1.0 - R)
         f_c = Z * (1.0 - C * C)
         keep = 1.0 - Z
-        W_zr = np.vstack((wz, wr))
         D = np.empty((n, 3 * u))  # stacked gate pre-activation gradients
         carry = np.zeros(u)
         for t in reversed(steps):
@@ -152,27 +140,26 @@ def gru_sequence(
             row = D[t]
             np.multiply(dh, f_z[t], out=row[:u])
             dc = np.multiply(dh, f_c[t], out=row[2 * u :])
-            drh = wh.T @ dc
+            drh = W_c.T @ dc
             np.multiply(drh, f_r[t], out=row[u : 2 * u])
             dhm = drh * R[t] + W_zr.T @ row[: 2 * u]
             if m is not None:
                 dhm *= m
             carry = dh * keep[t] + dhm
         Dz, Dr, Dc = D[:, :u], D[:, u : 2 * u], D[:, 2 * u :]
-        db = D.sum(axis=0)[:, None]
+        # per-gate products, stacked afterwards: a single (n x 3u)(3u x d)
+        # product starts the BLAS thread pool from about 20 tokens
         grads = (
-            Dz.T @ Xd, Dz.T @ fed, db[:u],
-            Dr.T @ Xd, Dr.T @ fed, db[u : 2 * u],
-            Dc.T @ Xd, Dc.T @ (R * fed), db[2 * u :],
+            np.vstack((Dz.T @ Xd, Dr.T @ Xd, Dc.T @ Xd)),
+            np.vstack((Dz.T @ fed, Dr.T @ fed, Dc.T @ (R * fed))),
+            D.sum(axis=0)[:, None],
         )
         if x_const:
             return grads
-        # one (n x u)(u x d) product per gate: a single (n x 3u)(3u x d)
-        # product starts the BLAS thread pool from about 20 tokens
-        dX = Dz @ uz + Dr @ ur + Dc @ uh
+        dX = Dz @ U[:u] + Dr @ U[u : 2 * u] + Dc @ U[2 * u :]
         return (dX, *grads)
 
-    params = tuple(t for _, t in cell.parameters(""))
+    params = (cell.input, cell.recurrent, cell.bias)
     tape.record(result, params if x_const else (X, *params), vjp)
     return result
 
@@ -532,25 +519,20 @@ class DBTaggerModel:
 def model_forward(
     model: DBTaggerModel,
     tokens: list[str],
-    mode: str = "infer",
     mask_stream: MaskStream | None = None,
     record: bool = True,
 ) -> tuple:
     """Emission matrices of the heads in order, followed by the tape that
     built them (None when ``record`` is false, as for decoding).
 
-    Dropout applies only in train mode and only to the encoder, with masks
-    drawn from ``mask_stream`` layer by layer (a bi-directional layer's
+    A ``mask_stream`` means training: dropout then applies to the encoder
+    only, with masks drawn layer by layer (a bi-directional layer's
     forward, then backward recurrent mask) and then one mask on the encoder
     output.  An empty encoder draws no mask.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if not tokens:
         raise ValueError("cannot tag an empty token list")
-    train = mode == "train"
-    if train and mask_stream is None:
-        raise ValueError("train mode needs a mask stream")
+    train = mask_stream is not None
     tape = Tape() if record else None
     X = embed_query(model.embeddings, tokens)
     if model.extra_features is not None:
@@ -586,8 +568,7 @@ def total_loss(
 ) -> tuple[Tensor, Tape]:
     """Task-weighted sum of the heads' CRF losses for one query, folded
     left in head order: ((w_pos*L_pos + w_type*L_type) + w_schema*L_schema)."""
-    mode = "train" if mask_stream is not None else "infer"
-    *emissions, tape = model_forward(model, query.words, mode, mask_stream)
+    *emissions, tape = model_forward(model, query.words, mask_stream)
     losses = []
     for head, emission in zip(model.heads, emissions):
         vocab = model.vocabs[head.level]
@@ -620,9 +601,6 @@ class ValueSpan:
 class TaggedQuery:
     tokens: tuple[TaggedToken, ...]
     value_spans: tuple[ValueSpan, ...]
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return [(t.type_tag, t.schema_tag) for t in self.tokens]
 
 
 def merge_value_spans(tokens: list[TaggedToken]) -> tuple[ValueSpan, ...]:

@@ -28,12 +28,6 @@ class TrainConfig:
     switch_epoch: int = 50     # last Adadelta epoch
     epochs: int = 150
     seed: int = 13
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
-    nadam_alpha: float = 0.002
-    nadam_beta1: float = 0.9
-    nadam_beta2: float = 0.999
-    nadam_eps: float = 1e-8
     patience: int | None = None
     stop_at_accuracy: float | None = None
 
@@ -151,9 +145,7 @@ def train(
     params = [t for _, t in trainable.parameters()]
     shuffle_rng = random.Random(config.seed)
     mask_stream = MaskStream(config.dropout, np.random.default_rng([config.seed, 0xD0]))
-    adadelta: AdadeltaState | None = AdadeltaState(
-        params, rho=config.adadelta_rho, eps=config.adadelta_eps
-    )
+    adadelta: AdadeltaState | None = AdadeltaState(params)
     nadam: NadamState | None = None
     eval_set = val if val is not None else dataset
     history: list[EpochRecord] = []
@@ -167,13 +159,7 @@ def train(
             phase = "nadam"
             if nadam is None:
                 adadelta = None  # release its accumulators before Nadam allocates
-                nadam = NadamState(
-                    params,
-                    alpha=config.nadam_alpha,
-                    beta1=config.nadam_beta1,
-                    beta2=config.nadam_beta2,
-                    eps=config.nadam_eps,
-                )
+                nadam = NadamState(params)
         order = list(dataset.queries)
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0

@@ -55,12 +55,11 @@ class MtSeqTagger:
     """Three separately trained stages; each later stage sees word vectors
     plus the previous stage's predicted tags."""
 
-    def __init__(self, embeddings, vocabs, hidden, dropout_rate, seed):
+    def __init__(self, embeddings, vocabs, hidden, dropout_rate):
         self.embeddings = embeddings
         self.vocabs = vocabs
         self.hidden = hidden
         self.dropout_rate = dropout_rate
-        self.seed = seed
         self.stages: dict[TagLevel, DBTaggerModel] = {}
 
     def _make_stage(self, level: TagLevel, input_size: int, extra_features, rng) -> DBTaggerModel:
@@ -132,7 +131,7 @@ def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config):
             seed=config.seed,
         )
     if name == "MT_Seq":
-        return MtSeqTagger(embeddings, vocabs, u, config.dropout, config.seed)
+        return MtSeqTagger(embeddings, vocabs, u, config.dropout)
     if name == "CRF":
         encoder, width = [], d
     elif name == "ST_Uni":

@@ -237,6 +237,29 @@ def test_error_paths_exit_nonzero(workdir, capsys):
     assert "type O" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("[1, 2]", "schema must be a JSON object"),
+        ('{"tables": [{"kind": "entity"}]}', "tables[0] has no 'name'"),
+        ('{"tables": [{"name": "movie"}]}', "tables[0] has no 'kind'"),
+        ('{"tables": [{"name": "movie", "kind": "entity", "attributes": [{"pk": true}]}]}',
+         "tables[0].attributes[0] has no 'name'"),
+        ('{"tables": [{"name": "movie", "kind": "entity", "attributes": [{"name": "id", "pk": "false"}]}]}',
+         "tables[0].attributes[0].pk must be bool, got str"),
+        ('{"tables": [7]}', "tables[0] must be a JSON object"),
+        ('{"tables": {"movie": {}}}', "schema.tables must be list"),
+    ],
+)
+def test_stats_rejects_malformed_schema(workdir, capsys, raw, message):
+    path = workdir / "malformed.json"
+    path.write_text(raw)
+    assert run(["stats", "--schema", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_tag_rejects_model_with_trailing_bytes(trained_model_path, workdir, capsys):
     padded = workdir / "padded.bin"
     padded.write_bytes(trained_model_path.read_bytes() + b"garbage")
@@ -246,6 +269,18 @@ def test_tag_rejects_model_with_trailing_bytes(trained_model_path, workdir, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "trailing bytes" in captured.err
+
+
+def test_tag_rejects_version_1_model(trained_model_path, workdir, capsys):
+    blob = trained_model_path.read_bytes()
+    old = workdir / "v1.bin"
+    old.write_bytes(blob[:5] + (1).to_bytes(4, "little") + blob[9:])
+    queries = workdir / "queries.txt"
+    queries.write_text("who wrote Green Book\n")
+    assert run(["tag", "--model", str(old), "--input", str(queries)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "unsupported model version 1" in captured.err
 
 
 def test_train_rejects_non_finite_embedding(workdir, capsys):

@@ -44,6 +44,30 @@ def test_count_dim_header_and_subword_line():
     assert table.bucket_count == 1024 and table.subword_seed == 7
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("#subword B=0 seed=7", "B must be an integer in 1..2^64-1, got '0'"),
+        ("#subword B=-3", "got '-3'"),
+        (f"#subword B={1 << 64}", "B must be an integer in 1..2^64-1"),
+        (f"#subword B=8 seed={1 << 64}", "seed must be an integer in 0..2^64-1"),
+        ("#subword seed=-1", "got '-1'"),
+        ("#subword B=1.5", "got '1.5'"),
+        ("#subword seed=abc", "got 'abc'"),
+    ],
+)
+def test_subword_header_out_of_range_rejected(header, message):
+    with pytest.raises(EmbeddingFormatError, match="line 2") as info:
+        load_embeddings(f"cat 1 0 0\n{header}\ndog 0 1 0\n")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("kwargs", [{"bucket_count": 0}, {"subword_seed": 1 << 64}])
+def test_table_rejects_unusable_subword_parameters(kwargs):
+    with pytest.raises(ValueError):
+        EmbeddingTable(3, {"cat": np.zeros(3)}, **kwargs)
+
+
 def test_300_dim_subset_fixture():
     table = load_embeddings(fixture_text("emb300_subset.vec"), expected_dim=300)
     assert table.dimension == 300

@@ -45,9 +45,14 @@ def reference_gru(cell, x, h, mask=None):
     entries of the previous state where it feeds a weight matrix."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     hm = h if mask is None else h * mask
-    z = sig(cell.update_in.data.dot(x) + cell.update_rec.data.dot(hm) + cell.update_bias.data)
-    r = sig(cell.reset_in.data.dot(x) + cell.reset_rec.data.dot(hm) + cell.reset_bias.data)
-    cand = np.tanh(cell.cand_in.data.dot(x) + cell.cand_rec.data.dot(r * hm) + cell.cand_bias.data)
+    u = cell.hidden_size
+    (Uz, Ur, Uc), (Wz, Wr, Wc), (bz, br, bc) = (
+        (t.data[:u], t.data[u : 2 * u], t.data[2 * u :])
+        for t in (cell.input, cell.recurrent, cell.bias)
+    )
+    z = sig(Uz.dot(x) + Wz.dot(hm) + bz)
+    r = sig(Ur.dot(x) + Wr.dot(hm) + br)
+    cand = np.tanh(Uc.dot(x) + Wc.dot(r * hm) + bc)
     return (1.0 - z) * h + z * cand
 
 
@@ -96,9 +101,22 @@ def test_gru_step_candidate_bias_closed_form():
     cell = GruCell(2, 3, RNG(0))
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
-    cell.cand_bias.data[:] = 5.0
+    cell.bias.data[2 * cell.hidden_size :] = 5.0  # the candidate rows
     out = gru_sequence(cell, np.ones((1, 2)))
     assert np.allclose(out.data, 0.5 * np.tanh(5.0), atol=1e-15)
+
+
+def test_gru_cell_draws_gate_blocks_in_seeded_order():
+    d, u = 4, 3
+    cell = GruCell(d, u, RNG(5))
+    rng = RNG(5)
+    draws = [tagger._glorot(rng, shape) for _ in range(3) for shape in ((u, d), (u, u))]
+    for gate in range(3):
+        rows = slice(gate * u, (gate + 1) * u)
+        assert np.array_equal(cell.input.data[rows], draws[2 * gate])
+        assert np.array_equal(cell.recurrent.data[rows], draws[2 * gate + 1])
+    assert np.array_equal(cell.bias.data, np.zeros((3 * u, 1)))
+    assert [name for name, _ in cell.parameters("c")] == ["c.input", "c.recurrent", "c.bias"]
 
 
 def test_gru_step_matches_reference_implementation():
@@ -427,8 +445,8 @@ def test_task_weights_validation():
 def test_model_forward_infer_is_pure():
     ds, model = tiny_setup()
     tokens = ds.queries[0].words
-    a = model_forward(model, tokens, mode="infer")
-    b = model_forward(model, tokens, mode="infer")
+    a = model_forward(model, tokens)
+    b = model_forward(model, tokens)
     for x, y in zip(a[:3], b[:3]):
         assert np.array_equal(x.data, y.data)
 
@@ -460,7 +478,7 @@ def test_all_dropped_masks_leave_only_biases():
     for head in model.heads:
         head.crf.emit_bias.data[:] = RNG(9).standard_normal((1, head.crf.tag_count))
     g_pos, g_type, g_schema, _ = model_forward(
-        model, ds.queries[0].words, mode="train", mask_stream=AllDropped()
+        model, ds.queries[0].words, mask_stream=AllDropped()
     )
     for head, G in zip(model.heads, (g_pos, g_type, g_schema)):
         assert np.allclose(G.data, np.tile(head.crf.emit_bias.data, (3, 1)), atol=1e-15)
@@ -586,7 +604,7 @@ def test_st_bi_train_forward_draws_masks_layer_by_layer(monkeypatch):
 
     monkeypatch.setattr(nm, "dropout", spy)
     rng = RNG(11)
-    model_forward(net, words, mode="train", mask_stream=MaskStream(0.5, rng))
+    model_forward(net, words, mask_stream=MaskStream(0.5, rng))
     replay_rng = RNG(11)
     replay = MaskStream(0.5, replay_rng)
     for _ in range(4):  # forward, backward recurrent mask of each bi-GRU layer
@@ -669,6 +687,29 @@ def test_load_model_rejects_trailing_bytes():
     blob = save_model(model)
     with pytest.raises(ValueError, match="trailing bytes"):
         load_model(blob + b"garbage")
+
+
+def test_full_model_has_three_tensors_per_gru_cell():
+    _, model = tiny_setup()
+    # five GRU cells (two encoder directions, three heads) and three CRFs
+    assert len(model.parameters()) == 5 * 3 + 3 * 3
+
+
+def test_load_model_rejects_version_1():
+    _, model = tiny_setup(seed=8)
+    blob = save_model(model)
+    v1 = blob[:5] + (1).to_bytes(4, "little") + blob[9:]
+    with pytest.raises(ValueError, match="unsupported model version 1"):
+        load_model(v1)
+
+
+def test_load_model_rejects_zero_buckets():
+    _, model = tiny_setup(seed=8)
+    blob = save_model(model)
+    # magic, version and the u32 dimension precede the u64 bucket count
+    crafted = blob[:13] + (0).to_bytes(8, "little") + blob[21:]
+    with pytest.raises(ValueError, match="bucket count"):
+        load_model(crafted)
 
 
 def test_tag_query_reproduces_table1(overfit_model, table1_query):
