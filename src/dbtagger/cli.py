@@ -19,7 +19,7 @@ from .embeddings import load_embeddings
 from .evaluation import MapperFamily, bench_scaling, render_report, report_as_dict, scaling_csv
 from .schema import SchemaError, SnapshotError, load_schema, synthetic_snapshot
 from .tagger import DBTaggerModel, TaggedQuery, load_model, save_model, tag_query
-from .training import TrainConfig, cross_validate, history_lines, train
+from .training import TrainConfig, cross_validate, history_lines, predict, train
 from .variants import VARIANTS, build_vocabs
 
 DEFAULT_SEED = 13
@@ -181,8 +181,7 @@ def _cmd_tag(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(Path(args.model).read_bytes())
     dataset = parse_corpus(_read(args.corpus), name=Path(args.corpus).stem)
-    predictions = [model.predict_tags(q.words) for q in dataset.queries]
-    report = evaluation.score(predictions, dataset)
+    report = evaluation.score(predict(model, dataset.queries), dataset)
     _print_report(report, args.format, title=f"eval {dataset.name}")
     return 0
 

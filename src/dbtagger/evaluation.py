@@ -212,6 +212,8 @@ def bench_latency(
 ) -> BenchReport:
     """Per-call wall-clock distribution of ``mapper_fn`` over the queries,
     with the first ``warmup`` sweeps excluded."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for _ in range(warmup):
         for q in queries:
             mapper_fn(q)

@@ -3,11 +3,13 @@ optional uni-directional GRU plus a linear-chain CRF, with cross-skip
 connections between heads.  The full multi-task model and every ablation
 variant are configurations of this one network.
 
-A whole GRU sequence and the CRF score/log-partition are each registered
-on the tape as one fused primitive with a hand-derived vector-Jacobian
-product (the CRF gradient is the classic forward-backward marginal
-computation); their correctness is pinned by finite-difference and
-enumeration tests.
+The network runs over a chunk of queries at once, packed time-major: row
+``t*B + b`` of every activation holds token t of query b, so activations
+stay rank-2 and one query is the B=1 case.  A whole GRU layer and the CRF
+score/log-partition are each registered on the tape as one fused primitive
+per chunk with a hand-derived vector-Jacobian product (the CRF gradient is
+the classic forward-backward marginal computation); their correctness is
+pinned by finite-difference and enumeration tests.
 """
 
 from __future__ import annotations
@@ -21,10 +23,51 @@ import numpy as np
 from . import numerics as nm
 from .corpus import AnnotatedQuery, TagLevel, TagVocab
 from .embeddings import EmbeddingTable, embed_query
-from .numerics import Tape, Tensor
+from .numerics import Tape, Tensor, gemm
 
 MODEL_MAGIC = b"DBTG1"
 MODEL_VERSION = 2
+
+# Queries per packed pass in training and batch decoding.  Larger chunks
+# cut the per-step overhead less and less while the live activations grow
+# with B: a training epoch over the 50 fixture queries at hidden 100 took
+# 323 ms of CPU one query at a time, 164 in chunks of 8, 142 in chunks of 16
+# and 127 in chunks of 32, and the peak RSS of a 4-epoch fit went 56.2,
+# 57.6, 59.7 MB for 8, 16, 32 (2-core host, OpenBLAS 0.3.31, numpy 2.4).
+CHUNK = 16
+
+
+def chunks(items: list) -> list[list]:
+    return [items[i : i + CHUNK] for i in range(0, len(items), CHUNK)]
+
+
+# ---------------------------------------------------------------------------
+# packing
+
+
+def pack(matrices: list[np.ndarray]) -> np.ndarray:
+    """Stack per-query (n_b x w) matrices time-major into (L*B x w), L the
+    longest n_b: row ``t*B + b`` is row t of query b, zero past its end."""
+    L = max(len(m) for m in matrices)
+    out = np.zeros((L, len(matrices), matrices[0].shape[1]))
+    for b, m in enumerate(matrices):
+        out[: len(m), b] = m
+    return out.reshape(-1, out.shape[2])
+
+
+def _layout(rows: int, lengths) -> tuple[int, int, np.ndarray | None]:
+    """(L, B, mask) of ``rows`` packed rows holding queries of the given
+    lengths (None: one query of every row).  ``mask`` is the (L*B x 1)
+    column with 1 at real tokens and 0 at padding, None without padding."""
+    if lengths is None:
+        return rows, 1, None
+    B, L = len(lengths), max(lengths, default=0)
+    if min(lengths, default=0) < 1 or L * B != rows:
+        raise nm.ShapeError(f"lengths {list(lengths)} do not pack into {rows} rows")
+    if min(lengths) == L:
+        return L, B, None
+    mask = np.arange(L)[:, None] < np.asarray(lengths)[None, :]
+    return L, B, mask.astype(np.float64).reshape(L * B, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -68,96 +111,111 @@ def gru_sequence(
     tape: Tape | None = None,
     rec_mask: np.ndarray | None = None,
     reverse: bool = False,
+    lengths=None,
 ) -> Tensor:
-    """Run the cell from a zero state over the rows of an (n x d) input and
-    return the (n x u) states in token order; ``reverse`` walks the rows
-    last to first.
+    """Run the cell from a zero state over each query of a packed (L*B x d)
+    input and return the packed (L*B x u) states; ``reverse`` walks each
+    query last token to first.
 
-    ``X`` is a constant array or a Tensor; a Tensor receives its gradient.
-    ``rec_mask`` (hidden x 1), when given, drops entries of the previous
-    state wherever it feeds a weight matrix; the interpolation path keeps
-    the unmasked state (variational recurrent dropout).
+    ``lengths`` gives the B query lengths (default: one query of all rows).
+    A state updates only at its query's own tokens, so the reverse walk
+    starts at each query's last token; padding rows come out zero and pass
+    no gradient.  ``X`` is a constant array or a Tensor; a Tensor receives
+    its gradient.  ``rec_mask`` (u x B), when given, drops entries of query
+    b's previous state (by column b) wherever it feeds a weight matrix; the
+    interpolation path keeps the unmasked state (variational recurrent
+    dropout).
 
-    The whole sequence is one tape record.  Each step uses matrix-vector
-    products only: a sentence-wide input GEMM wakes the BLAS thread pool on
-    long queries (see README).  The backward pass loops over the recurrent
-    state alone, then forms each gate's weight gradient as one product over
-    all steps.
+    The whole chunk is one tape record, which keeps the input, the states
+    and the gates.  Every product goes through ``gemm`` (see README).
     """
     u, d = cell.hidden_size, cell.input_size
     x_const = not isinstance(X, Tensor)
     Xd = np.asarray(X, dtype=np.float64) if x_const else X.data
     if Xd.ndim != 2 or Xd.shape[0] == 0 or Xd.shape[1] != d:
         raise nm.ShapeError(f"gru_sequence: input shape {Xd.shape}, expected (n, {d})")
-    if rec_mask is not None and rec_mask.shape != (u, 1):
-        raise nm.ShapeError(f"gru_sequence: mask shape {rec_mask.shape}, expected {(u, 1)}")
-    n = Xd.shape[0]
-    # row views of the stored gates; nothing here copies a parameter
-    U, b = cell.input.data, cell.bias.data[:, 0]
-    W_zr, W_c = cell.recurrent.data[: 2 * u], cell.recurrent.data[2 * u :]
-    m = None if rec_mask is None else rec_mask[:, 0]
-    steps = range(n - 1, -1, -1) if reverse else range(n)
-    record = tape is not None
+    L, B, valid = _layout(Xd.shape[0], lengths)
+    if rec_mask is not None and rec_mask.shape != (u, B):
+        raise nm.ShapeError(f"gru_sequence: mask shape {rec_mask.shape}, expected {(u, B)}")
+    # views of the stored gates; nothing here copies a parameter
+    U, W = cell.input.data, cell.recurrent.data
+    W_zr, W_c = W[: 2 * u], W[2 * u :]
+    m = None if rec_mask is None else rec_mask.T
+    steps = range(L - 1, -1, -1) if reverse else range(L)
 
-    out = np.empty((n, u))
-    if record:
-        gates = np.empty((n, 3 * u))  # z, r, c of each token
-        masked = np.empty((n, u)) if m is not None else None
-    h = np.zeros(u)
+    # input projections of every token, turned into the gates z, r, c step by step
+    gates = gemm(Xd, U.T)
+    gates += cell.bias.data[:, 0]
+    out = np.empty((L * B, u))
+    h = np.zeros((B, u))
     for t in steps:
-        a = U @ Xd[t] + b
+        rows = slice(t * B, (t + 1) * B)
+        a = gates[rows]
         hm = h if m is None else h * m
-        zr = 0.5 + 0.5 * np.tanh(0.5 * (a[: 2 * u] + W_zr @ hm))
-        z, r = zr[:u], zr[u:]
-        c = np.tanh(a[2 * u :] + W_c @ (r * hm))
+        zr = a[:, : 2 * u]
+        zr += gemm(hm, W_zr.T)
+        zr *= 0.5
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        z = zr[:, :u]
+        if valid is not None:
+            z *= valid[rows]  # a zero update gate holds the state on padding
+        c = a[:, 2 * u :]
+        c += gemm(zr[:, u:] * hm, W_c.T)
+        np.tanh(c, out=c)
         h = h + z * (c - h)
-        out[t] = h
-        if record:
-            gates[t, : 2 * u] = zr
-            gates[t, 2 * u :] = c
-            if m is not None:
-                masked[t] = hm
+        out[rows] = h
+    if valid is not None:
+        out *= valid  # padding rows are zero
     result = Tensor(out)
-    if not record:
+    if tape is None:
         return result
 
     def vjp(g):
-        prev = np.zeros((n, u))
-        if reverse:
-            prev[:-1] = out[1:]
-        else:
-            prev[1:] = out[:-1]
-        fed = prev if m is None else masked
-        Z, R, C = gates[:, :u], gates[:, u : 2 * u], gates[:, 2 * u :]
-        f_z = (C - prev) * Z * (1.0 - Z)
-        f_r = fed * R * (1.0 - R)
-        f_c = Z * (1.0 - C * C)
-        keep = 1.0 - Z
-        D = np.empty((n, 3 * u))  # stacked gate pre-activation gradients
-        carry = np.zeros(u)
+        if valid is not None:
+            g = g * valid
+        # each state as the weights saw it one step later
+        fed = out if m is None else out * np.tile(m, (L, 1))
+        reset_fed = np.empty((L * B, u))
+        # the stacked gate pre-activation gradients overwrite the gates step
+        # by step: backward runs a record's VJP once
+        D = gates
+        zero = np.zeros((B, u))
+        carry = zero
         for t in reversed(steps):
-            dh = g[t] + carry
-            row = D[t]
-            np.multiply(dh, f_z[t], out=row[:u])
-            dc = np.multiply(dh, f_c[t], out=row[2 * u :])
-            drh = W_c.T @ dc
-            np.multiply(drh, f_r[t], out=row[u : 2 * u])
-            dhm = drh * R[t] + W_zr.T @ row[: 2 * u]
+            rows = slice(t * B, (t + 1) * B)
+            before = t + 1 if reverse else t - 1
+            if 0 <= before < L:
+                prev_rows = slice(before * B, (before + 1) * B)
+                prev, hm = out[prev_rows], fed[prev_rows]
+            else:
+                prev = hm = zero
+            Dt = D[rows]
+            Z, R, C = Dt[:, :u], Dt[:, u : 2 * u], Dt[:, 2 * u :]
+            dh = g[rows] + carry
+            keep = 1.0 - Z
+            dz = dh * (C - prev) * Z * keep
+            dc = dh * Z * (1.0 - C * C)
+            drh = gemm(dc, W_c)
+            dr = drh * hm * R * (1.0 - R)
+            np.multiply(R, hm, out=reset_fed[rows])
+            dhm = drh * R
+            Dt[:, :u], Dt[:, u : 2 * u], Dt[:, 2 * u :] = dz, dr, dc
+            dhm += gemm(Dt[:, : 2 * u], W_zr)
             if m is not None:
                 dhm *= m
-            carry = dh * keep[t] + dhm
-        Dz, Dr, Dc = D[:, :u], D[:, u : 2 * u], D[:, 2 * u :]
-        # per-gate products, stacked afterwards: a single (n x 3u)(3u x d)
-        # product starts the BLAS thread pool from about 20 tokens
-        grads = (
-            np.vstack((Dz.T @ Xd, Dr.T @ Xd, Dc.T @ Xd)),
-            np.vstack((Dz.T @ fed, Dr.T @ fed, Dc.T @ (R * fed))),
-            D.sum(axis=0)[:, None],
-        )
-        if x_const:
-            return grads
-        dX = Dz @ U[:u] + Dr @ U[u : 2 * u] + Dc @ U[2 * u :]
-        return (dX, *grads)
+            carry = dh * keep + dhm
+        # row t's previous state is row t-1's output (t+1's in reverse)
+        if reverse:
+            lead, lag = slice(None, -B), slice(B, None)
+        else:
+            lead, lag = slice(B, None), slice(None, -B)
+        dW = np.empty((3 * u, u))
+        dW[: 2 * u] = gemm(D[lead, : 2 * u].T, fed[lag])
+        dW[2 * u :] = gemm(D[:, 2 * u :].T, reset_fed)
+        grads = (gemm(D.T, Xd), dW, D.sum(axis=0)[:, None])
+        return grads if x_const else (gemm(D, U), *grads)
 
     params = (cell.input, cell.recurrent, cell.bias)
     tape.record(result, params if x_const else (X, *params), vjp)
@@ -181,12 +239,14 @@ def bigru_forward(
     X,
     tape: Tape | None = None,
     rec_masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+    lengths=None,
 ) -> Tensor:
-    """Encode an (n x d) input into (n x 2u): forward and backward states
-    side by side per token, both directions starting from a zero state.
-    A Tensor input receives its gradient; a raw array is a constant."""
-    fwd = gru_sequence(layer.forward_cell, X, tape, rec_masks[0])
-    bwd = gru_sequence(layer.backward_cell, X, tape, rec_masks[1], reverse=True)
+    """Encode a packed (L*B x d) input into (L*B x 2u): forward and backward
+    states side by side per token, both directions starting from a zero
+    state at their query's own ends.  A Tensor input receives its gradient;
+    a raw array is a constant."""
+    fwd = gru_sequence(layer.forward_cell, X, tape, rec_masks[0], lengths=lengths)
+    bwd = gru_sequence(layer.backward_cell, X, tape, rec_masks[1], reverse=True, lengths=lengths)
     return nm.concat([fwd, bwd], axis=1, tape=tape)
 
 
@@ -201,6 +261,10 @@ class CrfLayer:
     rows/columns k (START) and k+1 (STOP).  Transitions out of STOP and
     into START are structurally masked: no computation ever reads them,
     and ``effective_transitions`` reports them as -inf.
+
+    The CRF functions below take packed (L*B x k) emissions with the B
+    query lengths (or, for ``crf_score``, the B tag sequences); padding
+    rows are ignored and receive exactly zero gradient.
     """
 
     def __init__(self, tag_count: int, feature_size: int, rng: np.random.Generator):
@@ -224,12 +288,31 @@ class CrfLayer:
         eff[:, self.start_index] = -np.inf
         return eff
 
-    def emissions(self, features: Tensor, tape: Tape | None = None) -> Tensor:
-        if features.shape[1] != self.feature_size:
+    def emissions(self, parts: list[Tensor], tape: Tape | None = None) -> Tensor:
+        """Emission scores of features given as column blocks side by side:
+        each block multiplies its own rows of ``emit_weight``, so the
+        features are never concatenated; then ``emit_bias`` is added."""
+        widths = [p.shape[1] for p in parts]
+        if sum(widths) != self.feature_size:
             raise nm.ShapeError(
-                f"emission features have width {features.shape[1]}, expected {self.feature_size}"
+                f"emission features have width {sum(widths)}, expected {self.feature_size}"
             )
-        return nm.add(nm.matmul(features, self.emit_weight, tape), self.emit_bias, tape)
+        ends = np.cumsum(widths)
+        blocks = [self.emit_weight.data[e - w : e] for e, w in zip(ends, widths)]
+        value = gemm(parts[0].data, blocks[0])
+        for part, block in zip(parts[1:], blocks[1:]):
+            value += gemm(part.data, block)
+        value += self.emit_bias.data
+        out = Tensor(value)
+        if tape is not None:
+            features = [p.data for p in parts]
+
+            def vjp(g):
+                dW = np.vstack([gemm(f.T, g) for f in features])
+                return (*(gemm(g, b.T) for b in blocks), dW, g.sum(axis=0, keepdims=True))
+
+            tape.record(out, (*parts, self.emit_weight, self.emit_bias), vjp)
+        return out
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [
@@ -239,40 +322,49 @@ class CrfLayer:
         ]
 
 
-def _check_tags(crf: CrfLayer, emissions: Tensor, tags: list[int]):
-    n, k = emissions.shape
+def _checked(crf: CrfLayer, emissions, lengths):
+    """(G as (L, B, k), lengths as an array) of packed emissions."""
+    G = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=np.float64)
+    rows, k = G.shape
     if k != crf.tag_count:
         raise nm.ShapeError(f"emissions have {k} tags, CRF has {crf.tag_count}")
-    if len(tags) != n:
-        raise ValueError(f"tag sequence length {len(tags)} != {n} tokens")
-    for t in tags:
-        if not 0 <= t < k:
-            raise ValueError(f"tag index {t} outside 0..{k - 1}")
+    L, B, _ = _layout(rows, lengths)
+    return G.reshape(L, B, k), np.asarray(lengths if lengths is not None else [rows])
 
 
-def crf_score(crf: CrfLayer, emissions: Tensor, tags: list[int], tape: Tape | None = None) -> Tensor:
-    """Path score: boundary and adjacent transitions plus per-token emissions."""
-    _check_tags(crf, emissions, tags)
-    n, k = emissions.shape
-    G, A = emissions.data, crf.transitions.data
+def crf_score(
+    crf: CrfLayer, emissions: Tensor, tags: list[list[int]], tape: Tape | None = None
+) -> Tensor:
+    """Path score of each query's tag sequence (B x 1): boundary and
+    adjacent transitions plus per-token emissions."""
+    lengths = [len(seq) for seq in tags]
+    G3, _ = _checked(crf, emissions, lengths)
+    L, B, k = G3.shape
+    flat = np.array([tag for seq in tags for tag in seq], dtype=np.int64)
+    if flat.min() < 0 or flat.max() >= k:
+        bad = flat[(flat < 0) | (flat >= k)][0]
+        raise ValueError(f"tag index {bad} outside 0..{k - 1}")
+    A = crf.transitions.data
     start, stop = crf.start_index, crf.stop_index
-    value = A[start, tags[0]] + A[tags[-1], stop]
-    for i, tag in enumerate(tags):
-        value += G[i, tag]
-    for i in range(n - 1):
-        value += A[tags[i], tags[i + 1]]
-    out = Tensor(np.array([[value]]))
+    query = np.repeat(np.arange(B), lengths)
+    first = np.cumsum(lengths) - lengths
+    last = first + np.asarray(lengths) - 1
+    rows = (np.arange(len(flat)) - first[query]) * B + query
+    inner = np.setdiff1d(np.arange(len(flat)), last)  # positions followed by a token
+    G = G3.reshape(L * B, k)
+    value = A[start, flat[first]] + A[flat[last], stop]
+    value += np.bincount(query, G[rows, flat], minlength=B)
+    value += np.bincount(query[inner], A[flat[inner], flat[inner + 1]], minlength=B)
+    out = Tensor(value[:, None])
     if tape is not None:
         def vjp(g):
-            w = g[0, 0]
-            dG = np.zeros((n, k))
+            w = g[:, 0]
+            dG = np.zeros((L * B, k))
+            dG[rows, flat] = w[query]
             dA = np.zeros_like(A)
-            for i, tag in enumerate(tags):
-                dG[i, tag] += w
-            dA[start, tags[0]] += w
-            dA[tags[-1], stop] += w
-            for i in range(n - 1):
-                dA[tags[i], tags[i + 1]] += w
+            np.add.at(dA, (start, flat[first]), w)
+            np.add.at(dA, (flat[last], stop), w)
+            np.add.at(dA, (flat[inner], flat[inner + 1]), w[query[inner]])
             return (dG, dA)
 
         tape.record(out, (emissions, crf.transitions), vjp)
@@ -284,76 +376,88 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis=axis)
 
 
-def crf_log_partition(crf: CrfLayer, emissions: Tensor, tape: Tape | None = None) -> Tensor:
-    """log sum over all tag sequences of exp(path score), by the forward
-    algorithm in log space; the gradient is the forward-backward marginals."""
-    n, k = emissions.shape
-    if k != crf.tag_count:
-        raise nm.ShapeError(f"emissions have {k} tags, CRF has {crf.tag_count}")
-    G, A = emissions.data, crf.transitions.data
+def crf_log_partition(
+    crf: CrfLayer, emissions: Tensor, tape: Tape | None = None, lengths=None
+) -> Tensor:
+    """Each query's log sum over all its tag sequences of exp(path score)
+    (B x 1), by the forward algorithm in log space; the gradient is the
+    forward-backward marginals."""
+    G3, lens = _checked(crf, emissions, lengths)
+    L, B, k = G3.shape
+    A = crf.transitions.data
     start, stop = crf.start_index, crf.stop_index
     inner = A[:k, :k]
-    alpha = np.empty((n, k))
-    alpha[0] = A[start, :k] + G[0]
-    for t in range(1, n):
-        alpha[t] = _lse(alpha[t - 1][:, None] + inner, axis=0) + G[t]
-    log_z = float(_lse((alpha[n - 1] + A[:k, stop])[None, :], axis=1)[0])
-    out = Tensor(np.array([[log_z]]))
+    alpha = np.empty((L, B, k))
+    alpha[0] = A[start, :k] + G3[0]
+    for t in range(1, L):
+        alpha[t] = _lse(alpha[t - 1][:, :, None] + inner, axis=1) + G3[t]
+    ends = alpha[lens - 1, np.arange(B)]
+    log_z = _lse(ends + A[:k, stop], axis=1)
+    out = Tensor(log_z[:, None])
 
     if tape is not None:
         def vjp(g):
-            w = g[0, 0]
-            beta = np.empty((n, k))
-            beta[n - 1] = A[:k, stop]
-            for t in range(n - 2, -1, -1):
-                beta[t] = _lse(inner + (G[t + 1] + beta[t + 1])[None, :], axis=1)
-            unary = np.exp(alpha + beta - log_z)
-            dG = unary * w
+            w = g[:, 0]
+            # -inf past each query's end makes every padding marginal exp(-inf) = 0
+            beta = np.full((L, B, k), -np.inf)
+            for t in range(L - 1, -1, -1):
+                beta[t, lens - 1 == t] = A[:k, stop]
+                go = np.flatnonzero(lens - 1 > t)
+                if go.size:
+                    nxt = G3[t + 1, go] + beta[t + 1, go]
+                    beta[t, go] = _lse(inner + nxt[:, None, :], axis=2)
+            shifted = alpha - log_z[:, None]
+            unary = np.exp(shifted + beta)
+            dG = (unary * w[:, None]).reshape(L * B, k)
             dA = np.zeros_like(A)
-            for t in range(n - 1):
+            if L > 1:
                 pair = np.exp(
-                    alpha[t][:, None] + inner + (G[t + 1] + beta[t + 1])[None, :] - log_z
+                    shifted[:-1, :, :, None] + inner + (G3[1:] + beta[1:])[:, :, None, :]
                 )
-                dA[:k, :k] += pair
-            dA[:k, :k] *= w
-            dA[start, :k] = unary[0] * w
-            dA[:k, stop] = unary[n - 1] * w
+                dA[:k, :k] = np.tensordot(w, pair.sum(axis=0), axes=1)
+            dA[start, :k] = w @ unary[0]
+            dA[:k, stop] = w @ unary[lens - 1, np.arange(B)]
             return (dG, dA)
 
         tape.record(out, (emissions, crf.transitions), vjp)
     return out
 
 
-def crf_nll(crf: CrfLayer, emissions: Tensor, tags: list[int], tape: Tape | None = None) -> Tensor:
-    """Negative log-probability of the gold sequence; non-negative."""
-    log_z = crf_log_partition(crf, emissions, tape)
+def crf_nll(
+    crf: CrfLayer, emissions: Tensor, tags: list[list[int]], tape: Tape | None = None
+) -> Tensor:
+    """Negative log-probability of each query's gold sequence (B x 1);
+    non-negative."""
+    log_z = crf_log_partition(crf, emissions, tape, [len(seq) for seq in tags])
     gold = crf_score(crf, emissions, tags, tape)
     return nm.add(log_z, nm.scale(gold, -1.0, tape), tape)
 
 
-def viterbi_decode(crf: CrfLayer, emissions) -> tuple[list[int], float]:
-    """Highest-scoring tag sequence; ties resolve to the lowest tag index."""
-    G = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=np.float64)
-    n, k = G.shape
-    if k != crf.tag_count:
-        raise nm.ShapeError(f"emissions have {k} tags, CRF has {crf.tag_count}")
+def viterbi_decode(crf: CrfLayer, emissions, lengths=None) -> list[tuple[list[int], float]]:
+    """Highest-scoring tag sequence of each query with its score; ties
+    resolve to the lowest tag index."""
+    G3, lens = _checked(crf, emissions, lengths)
+    L, B, k = G3.shape
     A = crf.transitions.data
     start, stop = crf.start_index, crf.stop_index
     inner = A[:k, :k]
-    delta = A[start, :k] + G[0]
-    back = np.zeros((n, k), dtype=np.int64)
-    for t in range(1, n):
-        cand = delta[:, None] + inner
-        back[t] = cand.argmax(axis=0)
-        delta = cand[back[t], np.arange(k)] + G[t]
+    delta = A[start, :k] + G3[0]
+    back = np.empty((L, B, k), dtype=np.int64)
+    running = (np.arange(L)[:, None] < lens)[:, :, None] if lens.min() < L else None
+    for t in range(1, L):
+        cand = delta[:, :, None] + inner
+        back[t] = cand.argmax(axis=1)
+        step = cand.max(axis=1) + G3[t]
+        delta = step if running is None else np.where(running[t], step, delta)
     final = delta + A[:k, stop]
-    last = int(final.argmax())
-    score = float(final[last])
-    tags = [last]
-    for t in range(n - 1, 0, -1):
-        last = int(back[t, last])
-        tags.append(last)
-    return tags[::-1], score
+    decoded = []
+    for b, n in enumerate(lens.tolist()):
+        last = int(final[b].argmax())
+        tags = [last]
+        for t in range(n - 1, 0, -1):
+            tags.append(int(back[t, b, tags[-1]]))
+        decoded.append((tags[::-1], float(final[b, last])))
+    return decoded
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +534,10 @@ class DBTaggerModel:
     head's emission features.
 
     ``encoder`` holds (parameter prefix, GruCell | BiGruLayer) pairs.
-    ``extra_features``, when given, maps tokens to columns appended to the
-    word vectors.  The full model (``build``) is one shared bi-GRU and three
-    heads; the ablation variants drop parts of it.
+    ``extra_features``, when given, maps a chunk's sentences to one matrix
+    each of columns appended to the word vectors.  The full model
+    (``build``) is one shared bi-GRU and three heads; the ablation variants
+    drop parts of it.
     """
 
     def __init__(
@@ -503,83 +608,123 @@ class DBTaggerModel:
 
     # trainable protocol -----------------------------------------------------
 
-    def query_loss(self, query: AnnotatedQuery, mask_stream: MaskStream | None):
-        return total_loss(self, query, mask_stream)
+    def batch_loss(self, queries: list[AnnotatedQuery], mask_stream: MaskStream | None):
+        return total_loss(self, queries, mask_stream)
 
-    def predict_tags(self, tokens: list[str]) -> list[str]:
-        """Viterbi tags of the last head."""
+    def predict_tags(self, sentences: list[list[str]]) -> list[list[str]]:
+        """Viterbi tags of the last head for each sentence of a chunk."""
         head = self.heads[-1]
-        indices, _ = viterbi_decode(head.crf, model_forward(self, tokens, record=False)[-2])
-        return [self.vocabs[head.level].symbols[i] for i in indices]
+        emissions = model_forward(self, sentences, record=False, levels=(head.level,))[-2]
+        decoded = viterbi_decode(head.crf, emissions, [len(s) for s in sentences])
+        symbols = self.vocabs[head.level].symbols
+        return [[symbols[i] for i in tags] for tags, _ in decoded]
 
     def gold_tags(self, query: AnnotatedQuery) -> list[str]:
         return query.tags(self.heads[-1].level)
 
 
+def _draw_masks(model: DBTaggerModel, stream: MaskStream, count: int):
+    """Dropout masks for a chunk of ``count`` queries, drawn query by query
+    in the order one query draws them: each encoder layer's recurrent masks
+    (a bi-directional layer's forward, then backward), then the encoder
+    output mask.  Returns per layer a tuple of (u x B) column masks, one per
+    direction, and the (B x width) output rows."""
+    last = model.encoder[-1][1]
+    width = last.hidden_size * (2 if isinstance(last, BiGruLayer) else 1)
+    directions = [2 if isinstance(layer, BiGruLayer) else 1 for _, layer in model.encoder]
+    drawn = []  # per query: its recurrent masks layer by layer, then its output row
+    for _ in range(count):
+        recurrent = [
+            [stream.column(layer.hidden_size) for _ in range(n)]
+            for (_, layer), n in zip(model.encoder, directions)
+        ]
+        drawn.append((recurrent, stream.row(width)))
+    per_layer = [
+        tuple(np.hstack([recurrent[i][j] for recurrent, _ in drawn]) for j in range(n))
+        for i, n in enumerate(directions)
+    ]
+    return per_layer, np.vstack([row for _, row in drawn])
+
+
 def model_forward(
     model: DBTaggerModel,
-    tokens: list[str],
+    sentences: list[list[str]],
     mask_stream: MaskStream | None = None,
     record: bool = True,
+    levels=None,
 ) -> tuple:
-    """Emission matrices of the heads in order, followed by the tape that
-    built them (None when ``record`` is false, as for decoding).
+    """Emission matrices of the heads in order for a chunk of sentences,
+    packed time-major (row ``t*B + b`` is token t of sentence b), followed
+    by the tape that built them (None when ``record`` is false, as for
+    decoding).
+
+    ``levels`` names the heads whose emissions are wanted (default: all);
+    the others come back as None.  A head's GRU runs only when its own or
+    the next head's emission reads it.
 
     A ``mask_stream`` means training: dropout then applies to the encoder
-    only, with masks drawn layer by layer (a bi-directional layer's
-    forward, then backward recurrent mask) and then one mask on the encoder
-    output.  An empty encoder draws no mask.
+    only, with masks drawn query by query as ``_draw_masks`` describes.  An
+    empty encoder draws no mask.
     """
-    if not tokens:
+    if not sentences or not all(sentences):
         raise ValueError("cannot tag an empty token list")
-    train = mask_stream is not None
+    lengths = [len(s) for s in sentences]
+    train = mask_stream is not None and bool(model.encoder)
     tape = Tape() if record else None
-    X = embed_query(model.embeddings, tokens)
+    inputs = [embed_query(model.embeddings, s) for s in sentences]
     if model.extra_features is not None:
-        X = np.hstack([X, model.extra_features(tokens)])
+        inputs = [np.hstack([x, e]) for x, e in zip(inputs, model.extra_features(sentences))]
+    X = pack(inputs)
+    if train:
+        layer_masks, out_rows = _draw_masks(model, mask_stream, len(sentences))
 
     H = X
-    for _, layer in model.encoder:
-        u = layer.hidden_size
+    for i, (_, layer) in enumerate(model.encoder):
         if isinstance(layer, BiGruLayer):
-            masks = (mask_stream.column(u), mask_stream.column(u)) if train else (None, None)
-            H = bigru_forward(layer, H, tape, masks)
+            masks = layer_masks[i] if train else (None, None)
+            H = bigru_forward(layer, H, tape, masks, lengths)
         else:
-            H = gru_sequence(layer, H, tape, mask_stream.column(u) if train else None)
+            H = gru_sequence(layer, H, tape, layer_masks[i][0] if train else None, lengths=lengths)
     if not model.encoder:
         H = Tensor(X)
     elif train:
-        H = nm.dropout(H, np.tile(mask_stream.row(H.shape[1]), (len(tokens), 1)), tape)
+        H = nm.dropout(H, np.tile(out_rows, (max(lengths), 1)), tape)
 
+    wanted = HEAD_ORDER if levels is None else levels
     emissions = []
     prev: Tensor | None = None
-    for head in model.heads:
-        states = H if head.cell is None else gru_sequence(head.cell, H, tape)
-        feats = states if prev is None else nm.concat([states, prev], axis=1, tape=tape)
-        emissions.append(head.crf.emissions(feats, tape))
+    for i, head in enumerate(model.heads):
+        emit = head.level in wanted
+        feeds_next = i + 1 < len(model.heads) and model.heads[i + 1].level in wanted
+        states = None
+        if emit or feeds_next:
+            states = H if head.cell is None else gru_sequence(head.cell, H, tape, lengths=lengths)
+        if emit:
+            parts = [states] if prev is None else [states, prev]
+            emissions.append(head.crf.emissions(parts, tape))
+        else:
+            emissions.append(None)
         prev = states
     return (*emissions, tape)
 
 
 def total_loss(
     model: DBTaggerModel,
-    query: AnnotatedQuery,
+    queries: list[AnnotatedQuery],
     mask_stream: MaskStream | None = None,
-) -> tuple[Tensor, Tape]:
-    """Task-weighted sum of the heads' CRF losses for one query, folded
-    left in head order: ((w_pos*L_pos + w_type*L_type) + w_schema*L_schema)."""
-    *emissions, tape = model_forward(model, query.words, mask_stream)
-    losses = []
+) -> tuple[Tensor, np.ndarray, Tape]:
+    """Task-weighted sum of the heads' CRF losses over a chunk of queries,
+    with each query's own loss and the tape.  A query's loss is folded left
+    in head order: ((w_pos*L_pos + w_type*L_type) + w_schema*L_schema)."""
+    *emissions, tape = model_forward(model, [q.words for q in queries], mask_stream)
+    weight = dict(zip(HEAD_ORDER, model.weights.as_tuple()))
+    per_query = None
     for head, emission in zip(model.heads, emissions):
         vocab = model.vocabs[head.level]
-        gold = [vocab.index_of(t) for t in query.tags(head.level)]
-        losses.append(crf_nll(head.crf, emission, gold, tape))
-    weight = dict(zip(HEAD_ORDER, model.weights.as_tuple()))
-    total = None
-    for head, loss in zip(model.heads, losses):
-        term = nm.scale(loss, weight[head.level], tape)
-        total = term if total is None else nm.add(total, term, tape)
-    return total, tape
+        gold = [[vocab.index_of(t) for t in q.tags(head.level)] for q in queries]
+        term = nm.scale(crf_nll(head.crf, emission, gold, tape), weight[head.level], tape)
+        per_query = term if per_query is None else nm.add(per_query, term, tape)
+    return nm.sum_all(per_query, tape), per_query.data[:, 0], tape
 
 
 @dataclass(frozen=True)
@@ -632,12 +777,12 @@ def merge_value_spans(tokens: list[TaggedToken]) -> tuple[ValueSpan, ...]:
 
 def tag_query(model: DBTaggerModel, tokens: list[str]) -> TaggedQuery:
     """Decode TYPE and SCHEMA tags for a tokenized query and merge value
-    spans.  The POS head only shapes training; its output is discarded here."""
-    _, g_type, g_schema, _ = model_forward(model, tokens, record=False)
-    type_head = model.heads[1]
-    schema_head = model.heads[2]
-    type_idx, _ = viterbi_decode(type_head.crf, g_type)
-    schema_idx, _ = viterbi_decode(schema_head.crf, g_schema)
+    spans.  The POS head only shapes training; its emission is not computed."""
+    _, g_type, g_schema, _ = model_forward(
+        model, [tokens], record=False, levels=(TagLevel.TYPE, TagLevel.SCHEMA)
+    )
+    (type_idx, _), = viterbi_decode(model.heads[1].crf, g_type)
+    (schema_idx, _), = viterbi_decode(model.heads[2].crf, g_schema)
     type_vocab = model.vocabs[TagLevel.TYPE]
     schema_vocab = model.vocabs[TagLevel.SCHEMA]
     tagged = [

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import Dataset, split_folds
 from .numerics import Tensor, backward
-from .tagger import MaskStream, TaskWeights
+from .tagger import MaskStream, TaskWeights, chunks
 
 
 class TrainingError(RuntimeError):
@@ -34,6 +34,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.hidden < 1:
+            raise ValueError(f"hidden size must be >= 1, got {self.hidden}")
         if not 0 < self.switch_epoch <= self.epochs:
             raise ValueError(
                 f"switch epoch {self.switch_epoch} must lie in 1..{self.epochs}"
@@ -117,15 +119,42 @@ def nadam_step(state: NadamState, params: list[Tensor], grads: list[np.ndarray])
         p.data = p.data - state.alpha * direction / (np.sqrt(v_hat) + state.eps)
 
 
+def predict(predictor, queries) -> list[list[str]]:
+    """The predictor's tags for each query, decoded a chunk at a time."""
+    return [
+        tags
+        for chunk in chunks(list(queries))
+        for tags in predictor.predict_tags([q.words for q in chunk])
+    ]
+
+
 def token_accuracy(trainable, dataset: Dataset) -> float:
     """Fraction of tokens tagged correctly at the trainable's own level."""
     correct = total = 0
-    for query in dataset.queries:
-        predicted = trainable.predict_tags(query.words)
+    for query, predicted in zip(dataset.queries, predict(trainable, dataset.queries)):
         gold = trainable.gold_tags(query)
         correct += sum(1 for p, g in zip(predicted, gold) if p == g)
         total += len(gold)
     return correct / total if total else 1.0
+
+
+def _gradients(params: list[Tensor]) -> list[np.ndarray]:
+    return [p.grad if p.grad is not None else np.zeros(p.shape) for p in params]
+
+
+def _backward_pass(trainable, chunk, mask_stream, epoch: int) -> list[float]:
+    """One packed pass over a chunk of queries: add its gradients into the
+    grad slots and return each query's loss.  The tape dies on return,
+    before the next chunk's forward pass."""
+    loss, values, tape = trainable.batch_loss(chunk, mask_stream)
+    losses = values.tolist()
+    for query, value in zip(chunk, losses):
+        if not np.isfinite(value):
+            raise TrainingError(
+                f"non-finite loss {value} at epoch {epoch} on query {' '.join(query.words)!r}"
+            )
+    backward(tape, loss)
+    return losses
 
 
 def train(
@@ -138,9 +167,9 @@ def train(
 
     Epochs 1..switch use Adadelta, the rest Nadam (fresh state at the
     switch).  Each epoch shuffles queries with the seeded stream, batches
-    them, sums per-query losses over a batch and applies one optimizer
-    step per batch.  ``val_accuracy`` is measured on ``val`` when given,
-    else on the training set.
+    them, sums the query losses over a batch (one packed pass per chunk of
+    it) and applies one optimizer step per batch.  ``val_accuracy`` is
+    measured on ``val`` when given, else on the training set.
     """
     params = [t for _, t in trainable.parameters()]
     shuffle_rng = random.Random(config.seed)
@@ -164,24 +193,17 @@ def train(
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
             for p in params:
                 p.zero_grad()
-            for query in batch:
-                loss, tape = trainable.query_loss(query, mask_stream)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss {value} at epoch {epoch} on query "
-                        f"{' '.join(query.words)!r}"
-                    )
-                epoch_loss += value
-                backward(tape, loss)
-            grads = [p.grad if p.grad is not None else np.zeros(p.shape) for p in params]
+            for chunk in chunks(order[start : start + config.batch_size]):
+                for value in _backward_pass(trainable, chunk, mask_stream, epoch):
+                    epoch_loss += value
+            # the gradient list dies with the call, so that the next batch's
+            # passes do not hold this batch's gradients
             if phase == "adadelta":
-                adadelta_step(adadelta, params, grads)
+                adadelta_step(adadelta, params, _gradients(params))
             else:
-                nadam_step(nadam, params, grads)
+                nadam_step(nadam, params, _gradients(params))
         mean_loss = epoch_loss / len(order)
         val_acc = token_accuracy(trainable, eval_set)
         history.append(EpochRecord(epoch=epoch, phase=phase, mean_loss=mean_loss, val_accuracy=val_acc))
@@ -244,5 +266,4 @@ def _run_fold(job):
 
     variant, train_ds, test_ds, full_ds, schema, embeddings, config, _fold_idx = job
     predictor = fit_variant(variant, train_ds, full_ds, schema, embeddings, config)
-    predictions = [predictor.predict_tags(q.words) for q in test_ds.queries]
-    return score(predictions, test_ds)
+    return score(predict(predictor, test_ds.queries), test_ds)

@@ -35,18 +35,19 @@ def _single_task(
 
 
 def _one_hot_features(previous, vocab):
-    """Previous-stage predictions as cached one-hot rows."""
+    """Previous-stage predictions as cached one-hot rows, one matrix per
+    sentence of a chunk; the sentences not seen before are decoded together."""
     cache: dict[tuple, np.ndarray] = {}
 
-    def extra(tokens: list[str]) -> np.ndarray:
-        key = tuple(tokens)
-        if key not in cache:
-            tags = previous.predict_tags(list(key))
-            mat = np.zeros((len(key), vocab.size))
-            for i, tag in enumerate(tags):
-                mat[i, vocab.index_of(tag)] = 1.0
-            cache[key] = mat
-        return cache[key]
+    def extra(sentences: list[list[str]]) -> list[np.ndarray]:
+        new = [key for key in dict.fromkeys(map(tuple, sentences)) if key not in cache]
+        if new:
+            for key, tags in zip(new, previous.predict_tags([list(k) for k in new])):
+                mat = np.zeros((len(key), vocab.size))
+                for i, tag in enumerate(tags):
+                    mat[i, vocab.index_of(tag)] = 1.0
+                cache[key] = mat
+        return [cache[tuple(s)] for s in sentences]
 
     return extra
 
@@ -95,8 +96,8 @@ class MtSeqTagger:
             params += [(f"{level.value}.{n}", t) for n, t in stage.parameters()]
         return params
 
-    def predict_tags(self, tokens: list[str]) -> list[str]:
-        return self.stages[TagLevel.SCHEMA].predict_tags(tokens)
+    def predict_tags(self, sentences: list[list[str]]) -> list[list[str]]:
+        return self.stages[TagLevel.SCHEMA].predict_tags(sentences)
 
     def gold_tags(self, query: AnnotatedQuery) -> list[str]:
         return query.tags(TagLevel.SCHEMA)

@@ -5,11 +5,22 @@ losses from; the package itself never calls them.  Each records onto a
 import numpy as np
 
 from dbtagger.numerics import ShapeError, Tape, Tensor
+from dbtagger.numerics import sum_all  # noqa: F401  (a package primitive; tests call ops.sum_all)
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
+def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} do not match")
+    out = Tensor(a.data @ b.data)
+    if tape is not None:
+        a_data, b_data = a.data, b.data
+        tape.record(out, (a, b), lambda g: (g @ b_data.T, a_data.T @ g))
+    return out
 
 
 def hadamard(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -89,13 +100,3 @@ def logsumexp_rows(t: Tensor, tape: Tape | None = None) -> Tensor:
         softmax = shifted / sums
         tape.record(out, (t,), lambda g: (g * softmax,))
     return out
-
-
-def sum_all(t: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.array([[t.data.sum()]]))
-    if tape is not None:
-        shape = t.data.shape
-        tape.record(out, (t,), lambda g: (np.full(shape, g[0, 0]),))
-    return out
-
-

@@ -81,7 +81,7 @@ def test_criterion_1_crf_matches_enumeration():
             got_log_z = crf_log_partition(crf, G).item()
             assert abs(got_log_z - want_log_z) <= 1e-8
 
-            tags, got_best = viterbi_decode(crf, G)
+            [(tags, got_best)] = viterbi_decode(crf, G)
             best = scores.max()
             assert abs(got_best - best) <= 1e-8
             winners = seqs[scores >= best - 1e-12]
@@ -114,7 +114,8 @@ def test_criterion_2_gradients_match_finite_differences():
         params = [t for _, t in model.parameters()]
 
         def build():
-            return total_loss(model, query)  # dropout off: no mask stream
+            loss, _, tape = total_loss(model, [query])  # dropout off: no mask stream
+            return loss, tape
 
         err = finite_diff_check(build, params, h=1e-5, max_coords=200, rng=RNG(11))
         elapsed = time.perf_counter() - started
@@ -127,14 +128,14 @@ def test_criterion_3_loss_composition_exact():
         for seed in (7, 8, 9):
             query, model = _three_token_setup(seed)
             model.weights = TaskWeights(0.1, 0.2, 0.7)
-            loss, _ = total_loss(model, query)
-            emissions = model_forward(model, query.words)[:3]
+            loss, _, _ = total_loss(model, [query])
+            emissions = model_forward(model, [query.words])[:3]
             parts = []
             for head, G in zip(model.heads, emissions):
                 gold = [
                     model.vocabs[head.level].index_of(t) for t in query.tags(head.level)
                 ]
-                parts.append(crf_nll(head.crf, G, gold).item())
+                parts.append(crf_nll(head.crf, G, [gold]).item())
             hand = (0.1 * parts[0] + 0.2 * parts[1]) + 0.7 * parts[2]
             assert loss.item() == hand
 
@@ -342,7 +343,7 @@ def test_criterion_10_determinism_and_roundtrip(
         assert save_model(again) == blob
         tokens = fixture_corpus.queries[3].words
         assert np.array_equal(
-            model_forward(model, tokens)[2].data, model_forward(again, tokens)[2].data
+            model_forward(model, [tokens])[2].data, model_forward(again, [tokens])[2].data
         )
 
         small = Dataset(queries=fixture_corpus.queries[:10], name="small")

@@ -299,3 +299,30 @@ def test_train_rejects_non_finite_embedding(workdir, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "line 2" in err and "non-finite" in err
     assert not (workdir / "never.bin").exists()
+
+
+def test_train_rejects_hidden_zero(workdir, capsys):
+    status = run(
+        [
+            "train",
+            "--corpus", str(workdir / "fixture_corpus.tsv"),
+            "--schema", str(workdir / "imdb_subset.json"),
+            "--emb", str(workdir / "fixture_embeddings.vec"),
+            "--out", str(workdir / "zero.bin"),
+            "--hidden", "0",
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "hidden size must be >= 1" in err
+    assert not (workdir / "zero.bin").exists()
+
+
+def test_bench_rejects_zero_repetitions(workdir, capsys):
+    status = run(
+        ["bench", "--schema", str(workdir / "imdb_subset.json"), "--rows", "10", "--reps", "0"]
+    )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "repetitions must be >= 1" in captured.err

@@ -192,3 +192,10 @@ def test_trained_tagger_latency_regression_bound(overfit_model, table1_query):
         name="tagger",
     )
     assert report.median_ms < 100.0
+
+
+def test_bench_latency_rejects_zero_repetitions():
+    calls = []
+    with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
+        bench_latency(calls.append, ["q"], repetitions=0)
+    assert calls == []

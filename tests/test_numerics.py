@@ -8,13 +8,13 @@ from dbtagger.numerics import ShapeError, Tape, Tensor, backward, finite_diff_ch
 
 def test_matmul_identity():
     m = Tensor(np.arange(9.0).reshape(3, 3))
-    out = nm.matmul(Tensor(np.eye(3)), m)
+    out = ops.matmul(Tensor(np.eye(3)), m)
     assert np.array_equal(out.data, m.data)
 
 
 def test_matmul_shape_error_reports_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\) x \(2, 3\)"):
-        nm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        ops.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
 def test_closed_forms():
@@ -77,7 +77,7 @@ def test_vjp_matmul():
 
     def build():
         tape = Tape()
-        out = nm.matmul(a, b, tape)
+        out = ops.matmul(a, b, tape)
         return ops.sum_all(ops.hadamard(out, Tensor(w), tape), tape), tape
 
     assert _fd_for_op(build, [a, b]) < 1e-8
@@ -114,7 +114,7 @@ def test_vjp_elementwise_and_structural():
         tape = Tape()
         joined = nm.concat([ops.sigmoid(a, tape), ops.tanh(b, tape)], axis=0, tape=tape)  # 4x3
         cut = ops.slice_(joined, (1, 4), (0, 3), tape)                                   # 3x3
-        lifted = nm.matmul(ops.transpose(cut, tape), Tensor(w), tape)                    # 3x5
+        lifted = ops.matmul(ops.transpose(cut, tape), Tensor(w), tape)                    # 3x5
         dropped = nm.dropout(nm.scale(lifted, 0.7, tape), mask, tape)
         return ops.sum_all(dropped, tape), tape
 
@@ -145,9 +145,9 @@ def test_three_layer_composition_matches_fd():
 
     def build():
         tape = Tape()
-        h1 = ops.tanh(nm.matmul(w1, x, tape), tape)
-        h2 = ops.sigmoid(nm.matmul(w2, h1, tape), tape)
-        return ops.sum_all(nm.matmul(w3, h2, tape), tape), tape
+        h1 = ops.tanh(ops.matmul(w1, x, tape), tape)
+        h2 = ops.sigmoid(ops.matmul(w2, h1, tape), tape)
+        return ops.sum_all(ops.matmul(w3, h2, tape), tape), tape
 
     err = finite_diff_check(build, [x, w1, w2, w3], h=1e-5)
     assert err < 1e-6
@@ -202,8 +202,8 @@ def test_fd_check_coordinate_sampling_deterministic():
 def test_forward_deterministic():
     rng = np.random.default_rng(7)
     a = Tensor(rng.standard_normal((3, 3)))
-    one = ops.tanh(nm.matmul(a, a)).data
-    two = ops.tanh(nm.matmul(a, a)).data
+    one = ops.tanh(ops.matmul(a, a)).data
+    two = ops.tanh(ops.matmul(a, a)).data
     assert np.array_equal(one, two)
 
 
@@ -212,3 +212,35 @@ def test_tensor_rank_limits():
         Tensor(np.zeros((2, 2, 2)))
     assert Tensor(3.0).shape == (1, 1)
     assert Tensor([1.0, 2.0]).shape == (1, 2)
+
+
+def test_backward_writes_grad_on_leaves_only():
+    rng = np.random.default_rng(3)
+    x, w = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((3, 1)))
+    tape = Tape()
+    hidden = ops.matmul(x, w, tape)
+    scaled = nm.scale(hidden, 2.0, tape)
+    loss = nm.sum_all(scaled, tape)
+    backward(tape, loss)
+    assert hidden.grad is None and scaled.grad is None and loss.grad is None
+    assert np.allclose(x.grad, np.tile(2.0 * w.data.T, (2, 1)), rtol=0, atol=1e-15)
+    assert np.allclose(w.grad, 2.0 * x.data.sum(axis=0)[:, None], rtol=0, atol=1e-15)
+
+
+def test_add_grad_keeps_the_first_gradient_without_a_copy():
+    t = Tensor(np.zeros((1, 2)))
+    g = np.array([[1.0, 2.0]])
+    t.add_grad(g)
+    assert t.grad is g
+    t.add_grad(g)
+    assert t.grad is not g and np.array_equal(t.grad, [[2.0, 4.0]])
+    assert np.array_equal(g, [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (40, 200, 300), (300, 160, 200), (3, 1000, 600)])
+def test_gemm_matches_matmul(shape):
+    m, k, n = shape
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    assert np.abs(nm.gemm(a, b) - a @ b).max() <= 1e-12 * k
+    assert np.abs(nm.gemm(a.T.copy().T, b.T.copy().T) - a @ b).max() <= 1e-12 * k

@@ -75,6 +75,13 @@ def enum_log_partition(G, A, k):
     return m + np.log(np.exp(scores - m).sum())
 
 
+def loss_and_tape(model, query, mask_stream=None):
+    """total_loss of a one-query chunk as the (loss, tape) pair the
+    gradient checks take."""
+    loss, _, tape = total_loss(model, [query], mask_stream)
+    return loss, tape
+
+
 def random_crf(n, k, seed, feature_size=3):
     rng = RNG(seed)
     crf = CrfLayer(k, feature_size, rng)
@@ -145,7 +152,7 @@ def test_gru_step_gradients_match_fd():
     def build():
         tape = Tape()
         out = gru_sequence(cell, x, tape)
-        return ops.sum_all(nm.matmul(out, weights, tape), tape), tape
+        return ops.sum_all(ops.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
 
@@ -161,7 +168,7 @@ def test_gru_step_recurrent_mask_gradients():
     def build():
         tape = Tape()
         out = gru_sequence(cell, x, tape, rec_mask=mask)
-        return ops.sum_all(nm.matmul(out, weights, tape), tape), tape
+        return ops.sum_all(ops.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
 
@@ -271,7 +278,7 @@ def test_crf_score_no_transitions():
     crf, G = random_crf(2, 3, seed=20)
     crf.transitions.data[:] = 0.0
     tags = [2, 0]
-    assert crf_score(crf, G, tags).item() == pytest.approx(
+    assert crf_score(crf, G, [tags]).item() == pytest.approx(
         G.data[0, 2] + G.data[1, 0], abs=1e-12
     )
 
@@ -280,22 +287,22 @@ def test_crf_score_transitions_only():
     crf, G = random_crf(1, 3, seed=21)
     G.data[:] = 0.0
     A = crf.transitions.data
-    assert crf_score(crf, G, [1]).item() == pytest.approx(A[3, 1] + A[1, 4], abs=1e-12)
+    assert crf_score(crf, G, [[1]]).item() == pytest.approx(A[3, 1] + A[1, 4], abs=1e-12)
 
 
 def test_crf_score_matches_loop_oracle():
     crf, G = random_crf(4, 3, seed=22)
     tags = [2, 0, 1, 1]
     scores = enumerate_scores(G.data, crf.transitions.data, 3)
-    assert crf_score(crf, G, tags).item() == pytest.approx(scores[tuple(tags)], abs=1e-10)
+    assert crf_score(crf, G, [tags]).item() == pytest.approx(scores[tuple(tags)], abs=1e-10)
 
 
 def test_crf_score_rejects_bad_tags():
     crf, G = random_crf(2, 3, seed=23)
     with pytest.raises(ValueError):
-        crf_score(crf, G, [0, 7])
+        crf_score(crf, G, [[0, 7]])
     with pytest.raises(ValueError):
-        crf_score(crf, G, [0])
+        crf_score(crf, G, [[0]])
 
 
 def test_log_partition_uniform_closed_form():
@@ -335,13 +342,13 @@ def test_crf_nll_single_tag_vocabulary():
     crf = CrfLayer(1, 2, rng)
     crf.transitions.data[:] = 0.0
     G = Tensor(rng.standard_normal((3, 1)))
-    assert crf_nll(crf, G, [0, 0, 0]).item() == pytest.approx(0.0, abs=1e-12)
+    assert crf_nll(crf, G, [[0, 0, 0]]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_crf_nll_nonnegative_and_matches_enumeration():
     crf, G = random_crf(4, 3, seed=34)
     tags = [0, 2, 1, 0]
-    nll = crf_nll(crf, G, tags).item()
+    nll = crf_nll(crf, G, [tags]).item()
     assert nll >= 0.0
     scores = enumerate_scores(G.data, crf.transitions.data, 3)
     log_z = enum_log_partition(G.data, crf.transitions.data, 3)
@@ -355,7 +362,7 @@ def test_crf_gradients_match_fd():
 
     def build():
         tape = Tape()
-        return crf_nll(crf, G, tags, tape), tape
+        return crf_nll(crf, G, [tags], tape), tape
 
     assert finite_diff_check(build, [G, crf.transitions], h=1e-6) < 1e-8
 
@@ -364,21 +371,21 @@ def test_viterbi_onehot_rows_argmax():
     crf, _ = random_crf(3, 3, seed=36)
     crf.transitions.data[:] = 0.0
     G = Tensor(np.array([[0.0, 5.0, 0.0], [9.0, 0.0, 0.0], [0.0, 0.0, 4.0]]))
-    tags, score = viterbi_decode(crf, G)
+    [(tags, score)] = viterbi_decode(crf, G)
     assert tags == [1, 0, 2]
     assert score == pytest.approx(18.0, abs=1e-12)
 
 
 def test_viterbi_single_tag():
     crf, G = random_crf(3, 1, seed=37)
-    tags, _ = viterbi_decode(crf, G)
+    [(tags, _)] = viterbi_decode(crf, G)
     assert tags == [0, 0, 0]
 
 
 def test_viterbi_matches_enumeration_with_tie_policy():
     for seed in (40, 41, 42, 43):
         crf, G = random_crf(6, 5, seed=seed)
-        tags, score = viterbi_decode(crf, G)
+        [(tags, score)] = viterbi_decode(crf, G)
         scores = enumerate_scores(G.data, crf.transitions.data, 5)
         best = max(scores.values())
         assert score == pytest.approx(best, abs=1e-9)
@@ -391,18 +398,18 @@ def test_viterbi_matches_enumeration_with_tie_policy():
 def test_viterbi_ties_break_to_lowest_index():
     crf, _ = random_crf(2, 3, seed=44)
     crf.transitions.data[:] = 0.0
-    tags, _ = viterbi_decode(crf, Tensor(np.zeros((2, 3))))
+    [(tags, _)] = viterbi_decode(crf, Tensor(np.zeros((2, 3))))
     assert tags == [0, 0]
 
 
 def test_log_partition_row_shift_invariance():
     crf, G = random_crf(4, 3, seed=45)
     base_z = crf_log_partition(crf, G).item()
-    base_tags, _ = viterbi_decode(crf, G)
+    [(base_tags, _)] = viterbi_decode(crf, G)
     shifted = Tensor(G.data.copy())
     shifted.data[2] += 7.5
     assert crf_log_partition(crf, shifted).item() == pytest.approx(base_z + 7.5, rel=1e-12)
-    assert viterbi_decode(crf, shifted)[0] == base_tags
+    assert viterbi_decode(crf, shifted)[0][0] == base_tags
 
 
 def test_effective_transitions_mask():
@@ -445,8 +452,8 @@ def test_task_weights_validation():
 def test_model_forward_infer_is_pure():
     ds, model = tiny_setup()
     tokens = ds.queries[0].words
-    a = model_forward(model, tokens)
-    b = model_forward(model, tokens)
+    a = model_forward(model, [tokens])
+    b = model_forward(model, [tokens])
     for x, y in zip(a[:3], b[:3]):
         assert np.array_equal(x.data, y.data)
 
@@ -457,7 +464,7 @@ def test_model_forward_emission_widths_at_100_units():
     assert pos_head.crf.feature_size == 100
     assert type_head.crf.feature_size == 200
     assert schema_head.crf.feature_size == 200
-    g_pos, g_type, g_schema, _ = model_forward(model, ds.queries[0].words)
+    g_pos, g_type, g_schema, _ = model_forward(model, [ds.queries[0].words])
     assert g_pos.shape == (3, model.vocabs[TagLevel.POS].size)
     assert g_type.shape == (3, model.vocabs[TagLevel.TYPE].size)
     assert g_schema.shape == (3, model.vocabs[TagLevel.SCHEMA].size)
@@ -478,7 +485,7 @@ def test_all_dropped_masks_leave_only_biases():
     for head in model.heads:
         head.crf.emit_bias.data[:] = RNG(9).standard_normal((1, head.crf.tag_count))
     g_pos, g_type, g_schema, _ = model_forward(
-        model, ds.queries[0].words, mask_stream=AllDropped()
+        model, [ds.queries[0].words], mask_stream=AllDropped()
     )
     for head, G in zip(model.heads, (g_pos, g_type, g_schema)):
         assert np.allclose(G.data, np.tile(head.crf.emit_bias.data, (3, 1)), atol=1e-15)
@@ -488,12 +495,12 @@ def test_total_loss_schema_only_weighting():
     ds, model = tiny_setup()
     model.weights = TaskWeights(0.0, 0.0, 1.0)
     query = ds.queries[0]
-    loss, _ = total_loss(model, query)
-    _, _, g_schema, tape = model_forward(model, query.words)
+    loss, _, _ = total_loss(model, [query])
+    _, _, g_schema, tape = model_forward(model, [query.words])
     want = crf_nll(
         model.heads[2].crf,
         g_schema,
-        [model.vocabs[TagLevel.SCHEMA].index_of(t) for t in query.tags(TagLevel.SCHEMA)],
+        [[model.vocabs[TagLevel.SCHEMA].index_of(t) for t in query.tags(TagLevel.SCHEMA)]],
     ).item()
     assert loss.item() == want
 
@@ -512,7 +519,7 @@ def test_total_loss_uniform_weights_on_equal_nlls():
     k = model.vocabs[TagLevel.POS].size
     assert all(model.vocabs[lvl].size == k for lvl in TagLevel)
     v = 2 * np.log(k)
-    loss, _ = total_loss(model, ds.queries[0])
+    loss, _, _ = total_loss(model, [ds.queries[0]])
     assert loss.item() == v
 
 
@@ -520,12 +527,12 @@ def test_total_loss_paper_weights_exact_composition():
     ds, model = tiny_setup()
     model.weights = TaskWeights(0.1, 0.2, 0.7)
     query = ds.queries[0]
-    loss, _ = total_loss(model, query)
-    g_pos, g_type, g_schema, _ = model_forward(model, query.words)
+    loss, _, _ = total_loss(model, [query])
+    g_pos, g_type, g_schema, _ = model_forward(model, [query.words])
     parts = []
     for head, G in zip(model.heads, (g_pos, g_type, g_schema)):
         gold = [model.vocabs[head.level].index_of(t) for t in query.tags(head.level)]
-        parts.append(crf_nll(head.crf, G, gold).item())
+        parts.append(crf_nll(head.crf, G, [gold]).item())
     hand = (0.1 * parts[0] + 0.2 * parts[1]) + 0.7 * parts[2]
     assert loss.item() == hand
 
@@ -536,7 +543,7 @@ def test_total_loss_rejects_unknown_tag():
         tokens=(Token(text="unknown", pos="NN", type_tag="TABLE", schema_tag="people"),)
     )
     with pytest.raises(KeyError, match="people"):
-        total_loss(model, bad)
+        total_loss(model, [bad])
 
 
 def test_total_loss_gradients_match_fd():
@@ -545,7 +552,7 @@ def test_total_loss_gradients_match_fd():
     params = [t for _, t in model.parameters()]
 
     def build():
-        return total_loss(model, query)
+        return loss_and_tape(model, query)
 
     err = finite_diff_check(build, params, h=1e-5, max_coords=150, rng=RNG(5))
     assert err < 1e-6
@@ -561,7 +568,7 @@ def test_tape_length_does_not_grow_with_query_length(
     longest = next(q for q in fixture_corpus.queries if len(q) == 10)
     short = AnnotatedQuery(tokens=longest.tokens[:3])
     for stream in (None, MaskStream(0.5, RNG(0))):
-        lengths = {len(total_loss(model, q, stream)[1]) for q in (short, longest)}
+        lengths = {len(total_loss(model, [q], stream)[2]) for q in (short, longest)}
         assert len(lengths) == 1
 
 
@@ -581,11 +588,11 @@ def test_single_head_loss_is_its_crf_nll(name):
         return value.item(), [p.grad for _, p in net.parameters()]
 
     def nll():
-        emissions, tape = model_forward(net, query.words)
-        return crf_nll(head.crf, emissions, gold, tape), tape
+        emissions, tape = model_forward(net, [query.words])
+        return crf_nll(head.crf, emissions, [gold], tape), tape
 
     want, want_grads = value_and_grads(nll)
-    got, got_grads = value_and_grads(lambda: total_loss(net, query))
+    got, got_grads = value_and_grads(lambda: loss_and_tape(net, query))
     assert got == want
     assert all(np.array_equal(a, b) for a, b in zip(got_grads, want_grads))
 
@@ -604,7 +611,7 @@ def test_st_bi_train_forward_draws_masks_layer_by_layer(monkeypatch):
 
     monkeypatch.setattr(nm, "dropout", spy)
     rng = RNG(11)
-    model_forward(net, words, mask_stream=MaskStream(0.5, rng))
+    model_forward(net, [words], mask_stream=MaskStream(0.5, rng))
     replay_rng = RNG(11)
     replay = MaskStream(0.5, replay_rng)
     for _ in range(4):  # forward, backward recurrent mask of each bi-GRU layer
@@ -652,15 +659,15 @@ def test_decoding_records_no_tape(monkeypatch):
     ds, model = tiny_setup()
     words = ds.queries[0].words
     stage = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=3))
-    expected = (tag_query(model, words), model.predict_tags(words), stage.predict_tags(words))
+    expected = (tag_query(model, words), model.predict_tags([words]), stage.predict_tags([words]))
 
     def no_tape():
         raise AssertionError("decoding built a tape")
 
     monkeypatch.setattr(tagger, "Tape", no_tape)
-    assert model_forward(model, words, record=False)[3] is None
-    assert (tag_query(model, words), model.predict_tags(words), stage.predict_tags(words)) == expected
-    assert expected[1] == [t.schema_tag for t in expected[0].tokens]
+    assert model_forward(model, [words], record=False)[3] is None
+    assert (tag_query(model, words), model.predict_tags([words]), stage.predict_tags([words])) == expected
+    assert expected[1] == [[t.schema_tag for t in expected[0].tokens]]
 
 
 def test_save_load_roundtrip_bit_exact():
@@ -672,8 +679,8 @@ def test_save_load_roundtrip_bit_exact():
         assert np.array_equal(a.data, b.data)
     assert save_model(again) == blob
     tokens = ds.queries[0].words
-    first = model_forward(model, tokens)[2].data
-    second = model_forward(again, tokens)[2].data
+    first = model_forward(model, [tokens])[2].data
+    second = model_forward(again, [tokens])[2].data
     assert np.array_equal(first, second)
 
 
@@ -721,3 +728,253 @@ def test_tag_query_reproduces_table1(overfit_model, table1_query):
         ("John Nash", "cast.role"),
         ("A Beautiful Mind", "movie.title"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# packed chunks: every query of a chunk gets what it gets alone
+
+
+def unpacked(packed, lengths):
+    """Per-query rows of a packed (L*B x w) matrix."""
+    B = len(lengths)
+    rows = packed.reshape(-1, B, packed.shape[1])
+    return [rows[:n, b] for b, n in enumerate(lengths)]
+
+
+def fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=100):
+    vocabs = build_vocabs(fixture_corpus, imdb_subset)
+    model = DBTaggerModel.build(fixture_embeddings, vocabs, hidden=hidden, seed=13)
+    # nonzero biases, as after training: with zero biases a GRU state on
+    # zero padding rows stays zero even if padding were allowed to update it
+    rng = RNG(13)
+    for name, p in model.parameters():
+        if name.endswith("bias"):
+            p.data = rng.standard_normal(p.shape) * 0.5
+    return model
+
+
+@pytest.mark.parametrize("size", [1, 7, 16])
+def test_packed_emissions_equal_single_query_emissions(
+    size, fixture_corpus, imdb_subset, fixture_embeddings
+):
+    model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings)
+    sentences = [q.words for q in fixture_corpus.queries]
+    alone = [model_forward(model, [s], record=False)[:3] for s in sentences]
+    for start in range(0, len(sentences), size):
+        chunk = sentences[start : start + size]
+        lengths = [len(s) for s in chunk]
+        packed = model_forward(model, chunk, record=False)[:3]
+        for h, head in enumerate(model.heads):
+            decoded = viterbi_decode(head.crf, packed[h], lengths)
+            rows = unpacked(packed[h].data, lengths)
+            for b, sentence_rows in enumerate(rows):
+                single = alone[start + b][h]
+                assert np.abs(sentence_rows - single.data).max() <= 1e-12
+                assert decoded[b][0] == viterbi_decode(head.crf, single)[0][0]
+
+
+def _ragged_chunk(fixture_corpus, count=7):
+    by_length = sorted(fixture_corpus.queries, key=len)
+    return [by_length[i * (len(by_length) - 1) // (count - 1)] for i in range(count)]
+
+
+def _gradients(model, build):
+    for _, p in model.parameters():
+        p.zero_grad()
+    loss, values, tape = build()
+    backward(tape, loss)
+    return values, [p.grad.copy() for _, p in model.parameters()]
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_chunk_gradient_equals_sum_of_query_gradients(
+    dropout, fixture_corpus, imdb_subset, fixture_embeddings
+):
+    model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=8)
+    chunk = _ragged_chunk(fixture_corpus)
+    assert len({len(q) for q in chunk}) > 2
+    stream = (lambda: MaskStream(0.5, RNG(3))) if dropout else (lambda: None)
+
+    values, grads = _gradients(model, lambda: total_loss(model, chunk, stream()))
+    per_query = stream()
+    want_values, want = [], [np.zeros(p.shape) for _, p in model.parameters()]
+    for query in chunk:  # one seeded stream, drawn query after query
+        value, query_grads = _gradients(model, lambda: total_loss(model, [query], per_query))
+        want_values.append(value[0])
+        want = [a + g for a, g in zip(want, query_grads)]
+    assert np.allclose(values, want_values, rtol=0, atol=1e-12)
+    for got, expected in zip(grads, want):
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+def test_padded_rows_get_zero_gradient_and_zero_states():
+    rng = RNG(60)
+    cell = GruCell(3, 4, rng)
+    lengths = [2, 4, 1]
+    X = Tensor(rng.standard_normal((4 * 3, 3)))
+    pad = np.arange(4)[:, None] >= np.array(lengths)[None, :]
+    pad = pad.reshape(-1)
+    crf, _ = random_crf(1, 3, seed=61)
+    G = Tensor(rng.standard_normal((4 * 3, 3)))
+    tags = [[0, 2], [1, 1, 0, 2], [2]]
+    for reverse in (False, True):
+        tape = Tape()
+        out = gru_sequence(cell, X, tape, reverse=reverse, lengths=lengths)
+        assert np.array_equal(out.data[pad], np.zeros((pad.sum(), 4)))
+        weights = Tensor(rng.standard_normal(out.shape))  # nonzero on padding too
+        loss = ops.sum_all(ops.hadamard(out, weights, tape), tape)
+        X.zero_grad()
+        backward(tape, loss)
+        assert np.array_equal(X.grad[pad], np.zeros((pad.sum(), 3)))
+    tape = Tape()
+    loss = ops.sum_all(crf_nll(crf, G, tags, tape), tape)
+    backward(tape, loss)
+    assert np.array_equal(G.grad[pad], np.zeros((pad.sum(), 3)))
+    assert np.all(G.grad[~pad] != 0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_ragged_masked_chunk_gradients_match_fd(reverse):
+    rng = RNG(62)
+    cell = GruCell(3, 4, rng)
+    lengths = [3, 5, 1]
+    X = Tensor(rng.standard_normal((5 * 3, 3)))
+    mask = (rng.random((4, 3)) > 0.4) * 2.0
+    weights = Tensor(rng.standard_normal((5 * 3, 4)))
+    params = [X] + [t for _, t in cell.parameters("c")]
+
+    def build():
+        tape = Tape()
+        out = gru_sequence(cell, X, tape, rec_mask=mask, reverse=reverse, lengths=lengths)
+        return ops.sum_all(ops.hadamard(out, weights, tape), tape), tape
+
+    assert finite_diff_check(build, params, h=1e-6) < 1e-8
+
+
+def test_ragged_chunk_crf_gradients_match_fd():
+    rng = RNG(63)
+    crf, _ = random_crf(1, 3, seed=64)
+    G = Tensor(rng.standard_normal((4 * 3, 3)))
+    tags = [[1, 0], [2, 2, 0, 1], [0]]
+
+    def build():
+        tape = Tape()
+        return ops.sum_all(crf_nll(crf, G, tags, tape), tape), tape
+
+    assert finite_diff_check(build, [G, crf.transitions], h=1e-6) < 1e-8
+
+
+def test_packed_crf_matches_each_query_alone():
+    rng = RNG(65)
+    crf, _ = random_crf(1, 4, seed=66)
+    lengths = [3, 1, 5, 2]
+    singles = [rng.standard_normal((n, 4)) for n in lengths]
+    tags = [list(rng.integers(0, 4, n)) for n in lengths]
+    G = Tensor(tagger.pack(singles))
+    log_z = crf_log_partition(crf, G, lengths=lengths).data[:, 0]
+    scores = crf_score(crf, G, tags).data[:, 0]
+    decoded = viterbi_decode(crf, G, lengths)
+    for b, single in enumerate(singles):
+        assert abs(log_z[b] - crf_log_partition(crf, Tensor(single)).item()) <= 1e-12
+        assert abs(scores[b] - crf_score(crf, Tensor(single), [tags[b]]).item()) <= 1e-12
+        [(path, best)] = viterbi_decode(crf, Tensor(single))
+        assert decoded[b][0] == path and abs(decoded[b][1] - best) <= 1e-12
+
+
+def test_packed_lengths_must_fit_the_rows():
+    cell = GruCell(3, 4, RNG(0))
+    crf, _ = random_crf(1, 3, seed=0)
+    with pytest.raises(nm.ShapeError):
+        gru_sequence(cell, np.zeros((6, 3)), lengths=[2, 2, 3])
+    with pytest.raises(nm.ShapeError):
+        gru_sequence(cell, np.zeros((4, 3)), lengths=[2, 0])
+    with pytest.raises(nm.ShapeError):
+        gru_sequence(cell, np.zeros((6, 3)), rec_mask=np.ones((4, 1)), lengths=[3, 3])
+    with pytest.raises(nm.ShapeError):
+        viterbi_decode(crf, np.zeros((6, 3)), [4, 2])
+
+
+@pytest.mark.parametrize("name", ["DBTagger", "ST_Uni", "ST_Bi"])
+def test_seeded_chunk_draws_the_per_query_dropout_masks(name, monkeypatch):
+    ds, base = tiny_setup()
+    net = variants.make_variant(name, base.vocabs, base.embeddings, TrainConfig(hidden=3, seed=2))
+    sentences = [q.words for q in ds.queries] * 2
+    seen = []
+    real_gru, real_dropout = tagger.gru_sequence, nm.dropout
+
+    def gru_spy(cell, X, tape=None, rec_mask=None, reverse=False, lengths=None):
+        if rec_mask is not None:
+            seen.append(("rec", rec_mask))
+        return real_gru(cell, X, tape, rec_mask, reverse, lengths)
+
+    def dropout_spy(t, mask, tape=None):
+        seen.append(("out", mask))
+        return real_dropout(t, mask, tape)
+
+    monkeypatch.setattr(tagger, "gru_sequence", gru_spy)
+    monkeypatch.setattr(nm, "dropout", dropout_spy)
+    model_forward(net, sentences, mask_stream=MaskStream(0.5, RNG(8)))
+    chunk_masks, seen[:] = list(seen), []
+    stream = MaskStream(0.5, RNG(8))
+    alone = []
+    for sentence in sentences:
+        model_forward(net, [sentence], mask_stream=stream)
+        alone.append(list(seen))
+        seen[:] = []
+    B = len(sentences)
+    for i, (kind, mask) in enumerate(chunk_masks):
+        for b in range(B):
+            assert alone[b][i][0] == kind
+            if kind == "rec":
+                assert np.array_equal(mask[:, b], alone[b][i][1][:, 0])
+            else:
+                assert np.array_equal(mask[b], alone[b][i][1][0])
+
+
+def test_tape_length_does_not_depend_on_chunk_size_or_lengths(
+    fixture_corpus, imdb_subset, fixture_embeddings
+):
+    model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=5)
+    queries = list(fixture_corpus.queries)
+    chunks = [queries[:1], queries[-1:], queries[:7], queries[:16], _ragged_chunk(fixture_corpus)]
+    for stream in (None, MaskStream(0.5, RNG(0))):
+        assert len({len(total_loss(model, c, stream)[2]) for c in chunks}) == 1
+
+
+def test_decoding_computes_only_the_emissions_it_reads(
+    monkeypatch, fixture_corpus, imdb_subset, fixture_embeddings
+):
+    model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=8)
+    chunk = [q.words for q in fixture_corpus.queries[:16]]
+    lengths = [len(s) for s in chunk]
+    full = model_forward(model, chunk, record=False)[:3]
+    want_schema = [
+        [model.vocabs[TagLevel.SCHEMA].symbols[i] for i in tags]
+        for tags, _ in viterbi_decode(model.heads[2].crf, full[2], lengths)
+    ]
+    words = chunk[0]
+    alone = model_forward(model, [words], record=False)[:3]
+    want_tagged = [
+        [model.vocabs[level].symbols[i] for i in viterbi_decode(model.heads[h].crf, alone[h])[0][0]]
+        for h, level in ((1, TagLevel.TYPE), (2, TagLevel.SCHEMA))
+    ]
+
+    calls = {"emissions": 0, "gru": 0}
+    real_emissions, real_gru = CrfLayer.emissions, tagger.gru_sequence
+
+    def count_emissions(self, features, tape=None):
+        calls["emissions"] += 1
+        return real_emissions(self, features, tape)
+
+    def count_gru(*args, **kwargs):
+        calls["gru"] += 1
+        return real_gru(*args, **kwargs)
+
+    monkeypatch.setattr(CrfLayer, "emissions", count_emissions)
+    monkeypatch.setattr(tagger, "gru_sequence", count_gru)
+    assert model.predict_tags(chunk) == want_schema
+    assert calls == {"emissions": 1, "gru": 4}  # encoder both ways, TYPE and SCHEMA heads
+    calls.update(emissions=0, gru=0)
+    tagged = tag_query(model, words)
+    assert [[t.type_tag for t in tagged.tokens], [t.schema_tag for t in tagged.tokens]] == want_tagged
+    assert calls == {"emissions": 2, "gru": 5}

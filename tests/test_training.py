@@ -135,7 +135,7 @@ def test_single_query_memorization(table1_text):
     history = train(model, ds, config)
     assert history[-1].val_accuracy == 1.0
     assert len(history) <= 500
-    assert model.predict_tags(ds.queries[0].words) == ds.queries[0].tags(TagLevel.SCHEMA)
+    assert model.predict_tags([ds.queries[0].words]) == [ds.queries[0].tags(TagLevel.SCHEMA)]
 
 
 def test_training_is_deterministic(fixture_corpus):
@@ -219,12 +219,13 @@ class _NanTrainable:
     def parameters(self):
         return [("p", self.param)]
 
-    def query_loss(self, query, mask_stream):
+    def batch_loss(self, queries, mask_stream):
         tape = Tape()
-        return nm.scale(Tensor(np.array([[np.nan]])), 1.0, tape), tape
+        loss = nm.scale(Tensor(np.array([[np.nan]])), 1.0, tape)
+        return loss, np.full(len(queries), np.nan), tape
 
-    def predict_tags(self, tokens):
-        return ["O"] * len(tokens)
+    def predict_tags(self, sentences):
+        return [["O"] * len(tokens) for tokens in sentences]
 
     def gold_tags(self, query):
         return query.tags(TagLevel.SCHEMA)
@@ -305,3 +306,10 @@ def test_config_validation():
         TrainConfig(switch_epoch=10, epochs=5)
     with pytest.raises(ValueError):
         TrainConfig(weights=(0.5, 0.5, 0.5))
+
+
+def test_config_rejects_hidden_below_one():
+    with pytest.raises(ValueError, match="hidden size must be >= 1, got 0"):
+        TrainConfig(hidden=0)
+    with pytest.raises(ValueError, match="hidden size"):
+        TrainConfig(hidden=-3)
