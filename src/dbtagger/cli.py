@@ -17,10 +17,10 @@ from . import baselines, evaluation, schema as schema_mod, translate as translat
 from .corpus import CorpusError, TagLevel, parse_corpus, train_val_split, validate_against_vocab
 from .embeddings import load_embeddings
 from .evaluation import MapperFamily, bench_scaling, render_report, report_as_dict, scaling_csv
-from .schema import SchemaError, SnapshotError, load_schema, synthetic_snapshot
-from .tagger import DBTaggerModel, TaggedQuery, load_model, save_model, tag_query
+from .schema import load_schema, synthetic_snapshot
+from .tagger import TaggedQuery, load_model, save_model, tag_query
 from .training import TrainConfig, cross_validate, history_lines, predict, train
-from .variants import VARIANTS, build_vocabs
+from .variants import VARIANTS, build_vocabs, make_variant
 
 DEFAULT_SEED = 13
 
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="latency/memory scaling over synthetic snapshots")
     p.add_argument("--schema", required=True)
-    p.add_argument("--emb", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--rows", type=_parse_rows, default=[1000, 10000, 100000])
     p.add_argument("--queries", default=None, help="file of queries, one per line")
@@ -124,14 +123,7 @@ def _cmd_train(args) -> int:
     vocabs = build_vocabs(dataset, db_schema)
     validate_against_vocab(dataset, vocabs[TagLevel.SCHEMA])
     config = _config_from_args(args)
-    model = DBTaggerModel.build(
-        embeddings,
-        vocabs,
-        hidden=config.hidden,
-        weights=config.task_weights(),
-        dropout_rate=config.dropout,
-        seed=config.seed,
-    )
+    model = make_variant("DBTagger", vocabs, embeddings, config)
     if len(dataset) >= 6:
         train_ds, val_ds = train_val_split(dataset, config.seed)
     else:
@@ -362,7 +354,7 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, SchemaError, SnapshotError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,9 @@ columns).  Primitives optionally record onto an explicit tape; a tape is
 an execution-ordered list of records, so reversing it is already a valid
 topological order for accumulating vector-Jacobian products.  A tape is
 single-threaded; independent tapes can run concurrently.
+
+Only the primitives the model records live here; the fused GRU, emission
+and CRF records are in ``tagger``.
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-
-def scalar(value: float) -> Tensor:
-    return Tensor(np.array([[float(value)]]))
 
 
 class Tape:
@@ -124,24 +123,24 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # more multiply-adds than this to its thread pool (measured: 4.8e5 stayed
 # on the calling thread, 5.4e5 did not, whatever the transposes), and a
 # woken pool spins through later work at about twice the CPU time.
-GEMM_WORK = 480_000
+_GEMM_WORK = 480_000
 
 
 def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 2-D arrays as BLAS calls of at most GEMM_WORK
+    """``a @ b`` for 2-D arrays as BLAS calls of at most _GEMM_WORK
     multiply-adds each: blocks of rows of ``a``, or, when one row is
     already too much, summed blocks of the inner dimension."""
     m, k = a.shape
     n = b.shape[1]
-    if m * n * k <= GEMM_WORK:
+    if m * n * k <= _GEMM_WORK:
         return a @ b
-    rows = GEMM_WORK // (n * k)
+    rows = _GEMM_WORK // (n * k)
     if rows >= 1:
         out = np.empty((m, n))
         for i in range(0, m, rows):
             np.matmul(a[i : i + rows], b, out=out[i : i + rows])
         return out
-    inner = max(1, GEMM_WORK // (m * n))
+    inner = max(1, _GEMM_WORK // (m * n))
     out = a[:, :inner] @ b[:inner]
     for j in range(inner, k, inner):
         out += a[:, j : j + inner] @ b[j : j + inner]
@@ -153,50 +152,25 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise sum; ``b`` may also be a broadcastable row (1 x n) or
-    column (m x 1) vector."""
-    if a.shape == b.shape:
-        mode = "full"
-    elif b.shape == (1, a.shape[1]):
-        mode = "row"
-    elif b.shape == (a.shape[0], 1):
-        mode = "col"
-    else:
-        raise ShapeError(f"add: cannot broadcast {b.shape} onto {a.shape}")
+    """Elementwise sum of two tensors of the same shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data + b.data)
     if tape is not None:
-        def vjp(g, mode=mode):
-            if mode == "full":
-                return g, g
-            if mode == "row":
-                return g, g.sum(axis=0, keepdims=True)
-            return g, g.sum(axis=1, keepdims=True)
-        tape.record(out, (a, b), vjp)
+        tape.record(out, (a, b), lambda g: (g, g))
     return out
 
 
-def concat(parts: list[Tensor], axis: int, tape: Tape | None = None) -> Tensor:
+def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
+    """Join tensors of the same height side by side, column blocks in order."""
     if not parts:
         raise ShapeError("concat: no parts")
-    if axis not in (0, 1):
-        raise ShapeError(f"concat: axis must be 0 or 1, got {axis}")
-    fixed = 1 - axis
-    first = parts[0].shape[fixed]
-    for p in parts[1:]:
-        if p.shape[fixed] != first:
-            raise ShapeError(
-                f"concat: mismatched shapes {[p.shape for p in parts]} along axis {axis}"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    if len({p.shape[0] for p in parts}) != 1:
+        raise ShapeError(f"concat: mismatched heights {[p.shape for p in parts]}")
+    out = Tensor(np.hstack([p.data for p in parts]))
     if tape is not None:
-        sizes = [p.shape[axis] for p in parts]
-        def vjp(g):
-            grads, offset = [], 0
-            for size in sizes:
-                grads.append(g[offset : offset + size] if axis == 0 else g[:, offset : offset + size])
-                offset += size
-            return tuple(grads)
-        tape.record(out, tuple(parts), vjp)
+        ends = np.cumsum([p.shape[1] for p in parts])
+        tape.record(out, tuple(parts), lambda g: tuple(np.hsplit(g, ends[:-1])))
     return out
 
 
@@ -223,59 +197,3 @@ def dropout(t: Tensor, mask: np.ndarray, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         tape.record(out, (t,), lambda g: (g * mask,))
     return out
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-
-def finite_diff_check(
-    make_loss,
-    params: list[Tensor],
-    h: float = 1e-5,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max deviation of analytic gradients from central finite differences.
-
-    ``make_loss`` rebuilds the computation and returns ``(loss, tape)``;
-    it must be deterministic (dropout disabled).  Errors are normalized by
-    max(|analytic|, |numeric|, 1) so near-zero gradients do not blow up
-    the ratio.  For large parameter sets a random coordinate subset of
-    size ``max_coords`` is checked.
-    """
-    for p in params:
-        p.zero_grad()
-    loss, tape = make_loss()
-    if not np.isfinite(loss.item()):
-        raise ValueError(f"non-finite loss {loss.item()}")
-    backward(tape, loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros(p.shape) for p in params]
-
-    coords = [
-        (pi, i, j)
-        for pi, p in enumerate(params)
-        for i in range(p.shape[0])
-        for j in range(p.shape[1])
-    ]
-    if max_coords is not None and len(coords) > max_coords:
-        rng = rng or np.random.default_rng(0)
-        picks = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in picks]
-
-    worst = 0.0
-    for pi, i, j in coords:
-        p = params[pi]
-        saved = p.data[i, j]
-        p.data[i, j] = saved + h
-        f_plus = make_loss()[0].item()
-        p.data[i, j] = saved - h
-        f_minus = make_loss()[0].item()
-        p.data[i, j] = saved
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError("non-finite loss during finite differencing")
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = analytic[pi][i, j]
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-        worst = max(worst, err)
-    return worst

@@ -106,7 +106,7 @@ def load_schema(stream) -> Schema:
     text = stream if isinstance(stream, str) else stream.read()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SchemaError(f"invalid schema JSON: {exc}") from None
     tables = []
     for i, t in enumerate(_field(raw, "tables", list, "schema", default=[])):
@@ -278,6 +278,8 @@ def load_snapshot(schema: Schema, streams: dict[str, str]) -> ContentSnapshot:
     """
     columns: dict[str, dict[str, list[str]]] = {}
     for table_name, text in streams.items():
+        if table_name not in schema.table_names:
+            raise SnapshotError(f"no table named {table_name!r} in schema {schema.name!r}")
         table = schema.table(table_name)
         lines = text.splitlines()
         if not lines:
@@ -294,6 +296,8 @@ def load_snapshot(schema: Schema, streams: dict[str, str]) -> ContentSnapshot:
             raise SnapshotError(
                 f"table {table_name!r}: header has unknown columns: {', '.join(extra)}"
             )
+        if len(header) != len(expected):
+            raise SnapshotError(f"table {table_name!r}: header repeats a column")
         cols: dict[str, list[str]] = {name: [] for name in header}
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:

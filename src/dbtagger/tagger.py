@@ -247,7 +247,7 @@ def bigru_forward(
     a raw array is a constant."""
     fwd = gru_sequence(layer.forward_cell, X, tape, rec_masks[0], lengths=lengths)
     bwd = gru_sequence(layer.backward_cell, X, tape, rec_masks[1], reverse=True, lengths=lengths)
-    return nm.concat([fwd, bwd], axis=1, tape=tape)
+    return nm.concat([fwd, bwd], tape)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,7 @@ class CrfLayer:
 
     The transition matrix is (k+2) x (k+2) with the boundary symbols at
     rows/columns k (START) and k+1 (STOP).  Transitions out of STOP and
-    into START are structurally masked: no computation ever reads them,
-    and ``effective_transitions`` reports them as -inf.
+    into START are structurally masked: no computation ever reads them.
 
     The CRF functions below take packed (L*B x k) emissions with the B
     query lengths (or, for ``crf_score``, the B tag sequences); padding
@@ -281,12 +280,6 @@ class CrfLayer:
     @property
     def stop_index(self) -> int:
         return self.tag_count + 1
-
-    def effective_transitions(self) -> np.ndarray:
-        eff = self.transitions.data.copy()
-        eff[self.stop_index, :] = -np.inf
-        eff[:, self.start_index] = -np.inf
-        return eff
 
     def emissions(self, parts: list[Tensor], tape: Tape | None = None) -> Tensor:
         """Emission scores of features given as column blocks side by side:
@@ -777,12 +770,15 @@ def merge_value_spans(tokens: list[TaggedToken]) -> tuple[ValueSpan, ...]:
 
 def tag_query(model: DBTaggerModel, tokens: list[str]) -> TaggedQuery:
     """Decode TYPE and SCHEMA tags for a tokenized query and merge value
-    spans.  The POS head only shapes training; its emission is not computed."""
+    spans.  The POS head only shapes training; its emission is not computed.
+    A model whose scores overflow raises ValueError rather than tag."""
     _, g_type, g_schema, _ = model_forward(
         model, [tokens], record=False, levels=(TagLevel.TYPE, TagLevel.SCHEMA)
     )
-    (type_idx, _), = viterbi_decode(model.heads[1].crf, g_type)
-    (schema_idx, _), = viterbi_decode(model.heads[2].crf, g_schema)
+    (type_idx, type_score), = viterbi_decode(model.heads[1].crf, g_type)
+    (schema_idx, schema_score), = viterbi_decode(model.heads[2].crf, g_schema)
+    if not math.isfinite(type_score + schema_score):
+        raise ValueError("tag scores are not finite: the model's parameters overflow")
     type_vocab = model.vocabs[TagLevel.TYPE]
     schema_vocab = model.vocabs[TagLevel.SCHEMA]
     tagged = [
@@ -812,6 +808,10 @@ def _pack_matrix(out: list[bytes], data: np.ndarray):
     out.append(np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
+class ModelFormatError(ValueError):
+    """A model file that is malformed, truncated or inconsistent."""
+
+
 class _Reader:
     def __init__(self, blob: bytes):
         self.blob = blob
@@ -819,7 +819,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise ValueError("truncated model file")
+            raise ModelFormatError("truncated model file")
         chunk = self.blob[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -834,7 +834,10 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError("model file holds a string that is not UTF-8") from None
 
     def matrix(self) -> np.ndarray:
         rows, cols = struct.unpack("<II", self.take(8))
@@ -869,12 +872,19 @@ def save_model(model: DBTaggerModel) -> bytes:
 
 
 def load_model(blob: bytes) -> DBTaggerModel:
+    """Parse a model file; anything wrong with it raises ModelFormatError.
+
+    The whole file is read before the network is built, and every size the
+    network is built from (hidden, the embedding dimension and each
+    vocabulary size) must match a stored tensor that carries it, so the
+    network allocated is never larger than the file.
+    """
     reader = _Reader(blob)
     if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
-        raise ValueError("not a model file (bad magic)")
+        raise ModelFormatError("not a model file (bad magic)")
     version = reader.u32()
     if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version}")
+        raise ModelFormatError(f"unsupported model version {version}")
     dim = reader.u32()
     buckets = reader.u64()
     subword_seed = reader.u64()
@@ -882,30 +892,60 @@ def load_model(blob: bytes) -> DBTaggerModel:
     for _ in range(reader.u32()):
         token = reader.string()
         vec = np.frombuffer(reader.take(dim * 8), dtype="<f8").astype(np.float64)
+        if not np.isfinite(vec).all():
+            raise ModelFormatError(f"non-finite embedding component for token {token!r}")
         vectors[token] = vec
-    embeddings = EmbeddingTable(dim, vectors, bucket_count=buckets, subword_seed=subword_seed)
     vocabs = {}
     for level in HEAD_ORDER:
         symbols = tuple(reader.string() for _ in range(reader.u32()))
         vocabs[level] = TagVocab(level=level, symbols=symbols)
     hidden = reader.u32()
-    weights = TaskWeights(reader.f64(), reader.f64(), reader.f64())
+    task_weights = (reader.f64(), reader.f64(), reader.f64())
     dropout_rate = reader.f64()
-    model = DBTaggerModel.build(
-        embeddings, vocabs, hidden=hidden, weights=weights, dropout_rate=dropout_rate, seed=0
-    )
     stored = {}
     for _ in range(reader.u32()):
         name = reader.string()
         stored[name] = reader.matrix()
+        if not np.isfinite(stored[name]).all():
+            raise ModelFormatError(f"parameter {name} has a non-finite value")
     if reader.pos != len(blob):
-        raise ValueError(f"trailing bytes after the last parameter ({len(blob) - reader.pos})")
+        raise ModelFormatError(
+            f"trailing bytes after the last parameter ({len(blob) - reader.pos})"
+        )
+
+    if hidden < 1:
+        raise ModelFormatError(f"hidden size must be >= 1, got {hidden}")
+    # each size build() allocates by, against a stored tensor that carries it
+    carriers = {
+        "shared.fwd.recurrent": (3 * hidden, hidden),
+        "shared.fwd.input": (3 * hidden, dim),
+    }
+    for level, vocab in vocabs.items():
+        if vocab.size < 1:
+            raise ModelFormatError(f"the {level.value} vocabulary is empty")
+        carriers[f"head.{level.value}.crf.transitions"] = (vocab.size + 2, vocab.size + 2)
+    for name, shape in carriers.items():
+        if name not in stored:
+            raise ModelFormatError(f"model file has no parameter {name}")
+        if stored[name].shape != shape:
+            raise ModelFormatError(
+                f"parameter {name} has shape {stored[name].shape}, expected {shape}"
+            )
+    try:
+        embeddings = EmbeddingTable(dim, vectors, bucket_count=buckets, subword_seed=subword_seed)
+        weights = TaskWeights(*task_weights)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+
+    model = DBTaggerModel.build(
+        embeddings, vocabs, hidden=hidden, weights=weights, dropout_rate=dropout_rate, seed=0
+    )
     expected = model.parameters()
     if set(stored) != {name for name, _ in expected}:
-        raise ValueError("model file parameter set does not match the architecture")
+        raise ModelFormatError("model file parameter set does not match the architecture")
     for name, tensor in expected:
         if stored[name].shape != tensor.data.shape:
-            raise ValueError(
+            raise ModelFormatError(
                 f"parameter {name} has shape {stored[name].shape}, expected {tensor.data.shape}"
             )
         tensor.data = stored[name]

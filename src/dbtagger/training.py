@@ -241,13 +241,12 @@ def cross_validate(
     Returns (per-fold MetricsReport list, averaged MetricsReport).  Folds
     share nothing mutable, so they may run in parallel (DBTAG_THREADS).
     """
-    from .evaluation import average_reports, score
-    from .variants import fit_variant
+    from .evaluation import average_reports
 
     folds = split_folds(dataset, k, config.seed)
     jobs = [
-        (variant, train_ds, test_ds, dataset, schema, embeddings, config, fold_idx)
-        for fold_idx, (train_ds, test_ds) in enumerate(folds)
+        (variant, train_ds, test_ds, dataset, schema, embeddings, config)
+        for train_ds, test_ds in folds
     ]
     workers = min(thread_count(), k)
     if workers > 1:
@@ -264,6 +263,6 @@ def _run_fold(job):
     from .evaluation import score
     from .variants import fit_variant
 
-    variant, train_ds, test_ds, full_ds, schema, embeddings, config, _fold_idx = job
+    variant, train_ds, test_ds, full_ds, schema, embeddings, config = job
     predictor = fit_variant(variant, train_ds, full_ds, schema, embeddings, config)
     return score(predict(predictor, test_ds.queries), test_ds)

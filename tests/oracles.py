@@ -5,7 +5,62 @@ it checks."""
 import itertools
 import re
 
+import numpy as np
+
+from dbtagger.numerics import Tensor, backward
 from dbtagger.schema import Attribute, Schema, Table, build_schema_graph
+
+
+def finite_diff_check(
+    make_loss,
+    params: list[Tensor],
+    h: float = 1e-5,
+    max_coords: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Max deviation of analytic gradients from central finite differences.
+
+    ``make_loss`` rebuilds the computation and returns ``(loss, tape)``;
+    it must be deterministic (dropout disabled).  Errors are normalized by
+    max(|analytic|, |numeric|, 1) so near-zero gradients do not blow up
+    the ratio.  For large parameter sets a random coordinate subset of
+    size ``max_coords`` is checked.
+    """
+    for p in params:
+        p.zero_grad()
+    loss, tape = make_loss()
+    if not np.isfinite(loss.item()):
+        raise ValueError(f"non-finite loss {loss.item()}")
+    backward(tape, loss)
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros(p.shape) for p in params]
+
+    coords = [
+        (pi, i, j)
+        for pi, p in enumerate(params)
+        for i in range(p.shape[0])
+        for j in range(p.shape[1])
+    ]
+    if max_coords is not None and len(coords) > max_coords:
+        rng = rng or np.random.default_rng(0)
+        picks = rng.choice(len(coords), size=max_coords, replace=False)
+        coords = [coords[i] for i in picks]
+
+    worst = 0.0
+    for pi, i, j in coords:
+        p = params[pi]
+        saved = p.data[i, j]
+        p.data[i, j] = saved + h
+        f_plus = make_loss()[0].item()
+        p.data[i, j] = saved - h
+        f_minus = make_loss()[0].item()
+        p.data[i, j] = saved
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise ValueError("non-finite loss during finite differencing")
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        a = analytic[pi][i, j]
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+        worst = max(worst, err)
+    return worst
 
 
 def steiner_min_edges(edges, required):

@@ -23,6 +23,36 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
+def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    """Elementwise sum; ``b`` may also be a broadcastable row (1 x n) or
+    column (m x 1) vector."""
+    if a.shape == b.shape:
+        reduce = None
+    elif b.shape == (1, a.shape[1]):
+        reduce = 0
+    elif b.shape == (a.shape[0], 1):
+        reduce = 1
+    else:
+        raise ShapeError(f"add: cannot broadcast {b.shape} onto {a.shape}")
+    out = Tensor(a.data + b.data)
+    if tape is not None:
+        def vjp(g):
+            return g, (g if reduce is None else g.sum(axis=reduce, keepdims=True))
+        tape.record(out, (a, b), vjp)
+    return out
+
+
+def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
+    """Stack tensors of the same width top to bottom."""
+    if len({p.shape[1] for p in parts}) != 1:
+        raise ShapeError(f"concat_rows: mismatched widths {[p.shape for p in parts]}")
+    out = Tensor(np.vstack([p.data for p in parts]))
+    if tape is not None:
+        ends = np.cumsum([p.shape[0] for p in parts])
+        tape.record(out, tuple(parts), lambda g: tuple(np.vsplit(g, ends[:-1])))
+    return out
+
+
 def hadamard(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _check_same_shape(a, b, "hadamard")
     out = Tensor(a.data * b.data)

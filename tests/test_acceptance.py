@@ -20,7 +20,7 @@ from dbtagger.baselines import (
 from dbtagger.corpus import Dataset, TagLevel, build_tag_vocab, parse_corpus, serialize
 from dbtagger.embeddings import EmbeddingTable
 from dbtagger.evaluation import MapperFamily, bench_scaling
-from dbtagger.numerics import Tensor, finite_diff_check
+from dbtagger.numerics import Tensor
 from dbtagger.schema import load_schema, schema_stats, synthetic_snapshot
 from dbtagger.tagger import (
     CrfLayer,
@@ -37,7 +37,7 @@ from dbtagger.tagger import (
 )
 from dbtagger.training import TrainConfig, cross_validate, train
 from dbtagger.translate import MappingSet, infer_join_path, JoinPathError
-from oracles import random_schema_graph, steiner_min_edges
+from oracles import finite_diff_check, random_schema_graph, steiner_min_edges
 from test_baselines import reference_edit_distance
 
 RNG = np.random.default_rng

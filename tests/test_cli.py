@@ -2,10 +2,13 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import model_files
 from conftest import FIXTURES
 from dbtagger.cli import run
+from dbtagger.tagger import DBTaggerModel, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +284,56 @@ def test_tag_rejects_version_1_model(trained_model_path, workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "unsupported model version 1" in captured.err
+
+
+def _tag_status(model_blob: bytes, workdir, name: str):
+    path = workdir / name
+    path.write_bytes(model_blob)
+    queries = workdir / "queries.txt"
+    queries.write_text("who wrote Green Book\n")
+    return run(["tag", "--model", str(path), "--input", str(queries)])
+
+
+@pytest.mark.parametrize("case", ["hidden 0", "hidden 100000", "300000 POS symbols"])
+def test_tag_rejects_model_declaring_sizes_it_does_not_store(
+    trained_model_path, workdir, capsys, monkeypatch, case
+):
+    blob = model_files.crafted(trained_model_path.read_bytes())[case]
+
+    def build(*args, **kwargs):
+        raise AssertionError("DBTaggerModel.build was reached")
+
+    monkeypatch.setattr(DBTaggerModel, "build", build)
+    assert _tag_status(blob, workdir, "crafted.bin") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_tag_rejects_model_with_non_finite_values(trained_model_path, workdir, capsys):
+    model = load_model(trained_model_path.read_bytes())
+    model.heads[2].crf.emit_bias.data[0, 0] = np.nan
+    assert _tag_status(save_model(model), workdir, "nan.bin") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "head.SCHEMA.crf.emit_bias" in captured.err
+    model = load_model(trained_model_path.read_bytes())
+    token = next(iter(model.embeddings.vectors))
+    model.embeddings.vectors[token] = np.full(model.embeddings.dimension, np.inf)
+    assert _tag_status(save_model(model), workdir, "inf.bin") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and repr(token) in captured.err
+
+
+def test_tag_rejects_model_whose_scores_overflow(trained_model_path, workdir, capsys):
+    model = load_model(trained_model_path.read_bytes())
+    model.heads[2].crf.transitions.data[:] = 1e308
+    with np.errstate(over="ignore"):
+        assert _tag_status(save_model(model), workdir, "overflow.bin") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not finite" in captured.err
 
 
 def test_train_rejects_non_finite_embedding(workdir, capsys):

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import tape_ops as ops
 from dbtagger import numerics as nm
-from dbtagger.numerics import ShapeError, Tape, Tensor, backward, finite_diff_check, scalar
+from dbtagger.numerics import ShapeError, Tape, Tensor, backward
+from oracles import finite_diff_check
 
 
 def test_matmul_identity():
@@ -18,8 +22,8 @@ def test_matmul_shape_error_reports_both_shapes():
 
 
 def test_closed_forms():
-    assert ops.sigmoid(scalar(0.0)).item() == 0.5
-    assert ops.tanh(scalar(0.0)).item() == 0.0
+    assert ops.sigmoid(Tensor(0.0)).item() == 0.5
+    assert ops.tanh(Tensor(0.0)).item() == 0.0
     assert ops.logsumexp_rows(Tensor([[0.0, 0.0]])).item() == pytest.approx(np.log(2), abs=1e-12)
 
 
@@ -39,7 +43,7 @@ def test_backward_sum_gives_ones():
 
 
 def test_backward_product_rule():
-    x, y = scalar(3.0), scalar(-2.0)
+    x, y = Tensor(3.0), Tensor(-2.0)
     tape = Tape()
     loss = ops.hadamard(x, y, tape)
     backward(tape, loss)
@@ -53,11 +57,11 @@ def test_backward_requires_scalar_loss_on_tape():
     with pytest.raises(ShapeError):
         backward(tape, out)
     with pytest.raises(ValueError, match="not produced"):
-        backward(tape, scalar(1.0))
+        backward(tape, Tensor(1.0))
 
 
 def test_backward_accumulates_across_tapes():
-    x = scalar(2.0)
+    x = Tensor(2.0)
     for _ in range(2):
         tape = Tape()
         loss = ops.hadamard(x, x, tape)
@@ -92,7 +96,7 @@ def test_vjp_add_broadcasts():
 
     def build():
         tape = Tape()
-        out = nm.add(nm.add(a, row, tape), col, tape)
+        out = ops.add(ops.add(a, row, tape), col, tape)
         return ops.sum_all(ops.hadamard(out, Tensor(w), tape), tape), tape
 
     assert _fd_for_op(build, [a, row, col]) < 1e-8
@@ -112,7 +116,7 @@ def test_vjp_elementwise_and_structural():
 
     def build():
         tape = Tape()
-        joined = nm.concat([ops.sigmoid(a, tape), ops.tanh(b, tape)], axis=0, tape=tape)  # 4x3
+        joined = ops.concat_rows([ops.sigmoid(a, tape), ops.tanh(b, tape)], tape)        # 4x3
         cut = ops.slice_(joined, (1, 4), (0, 3), tape)                                   # 3x3
         lifted = ops.matmul(ops.transpose(cut, tape), Tensor(w), tape)                    # 3x5
         dropped = nm.dropout(nm.scale(lifted, 0.7, tape), mask, tape)
@@ -130,7 +134,7 @@ def test_vjp_exp_log_logsumexp():
         tape = Tape()
         lse = ops.logsumexp_rows(ops.exp(a, tape), tape)          # 3x1
         logs = ops.log(pos, tape)                                 # 3x4
-        mixed = nm.add(logs, lse, tape)                          # column broadcast
+        mixed = ops.add(logs, lse, tape)                         # column broadcast
         return ops.sum_all(mixed, tape), tape
 
     assert _fd_for_op(build, [a, pos]) < 1e-8
@@ -244,3 +248,40 @@ def test_gemm_matches_matmul(shape):
     a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
     assert np.abs(nm.gemm(a, b) - a @ b).max() <= 1e-12 * k
     assert np.abs(nm.gemm(a.T.copy().T, b.T.copy().T) - a @ b).max() <= 1e-12 * k
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def _names_used_from_numerics(tree: ast.Module) -> set[str]:
+    """Names a module imports from ``numerics`` or reads off it."""
+    used, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("numerics", "dbtagger.numerics"):
+                used |= {a.name for a in node.names}
+            elif node.module in (None, "dbtagger"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "numerics"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_numerics_name_is_used_elsewhere_in_the_package():
+    package = Path(nm.__file__).parent
+    public = _public_names(ast.parse((package / "numerics.py").read_text()))
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "numerics.py":
+            used |= _names_used_from_numerics(ast.parse(path.read_text()))
+    assert public - used == set()
+    assert {"Tensor", "Tape", "backward", "gemm", "add", "concat"} <= public

@@ -202,6 +202,19 @@ def test_snapshot_ragged_row(imdb_subset):
         load_snapshot(imdb_subset, {"movie": "id\ttitle\n1\tHeat\n2\n"})
 
 
+def test_snapshot_rejects_unknown_table_and_repeated_column(imdb_subset):
+    with pytest.raises(SnapshotError, match="no table named 'nope'"):
+        load_snapshot(imdb_subset, {"nope": "id\n1\n"})
+    with pytest.raises(SnapshotError, match="repeats a column"):
+        load_snapshot(imdb_subset, {"movie": "id\ttitle\tid\n1\tHeat\t2\n"})
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"name": ' + "7" * 5000 + "}"])
+def test_schema_json_too_deep_or_too_long_is_a_schema_error(text):
+    with pytest.raises(SchemaError, match="invalid schema JSON"):
+        load_schema(text)
+
+
 def test_snapshot_million_rows(imdb_subset):
     rows = 10**6
     tsv = synthetic_table_tsv(["id", "title"], rows, seed=4)

@@ -6,15 +6,16 @@ import pytest
 import tape_ops as ops
 from dbtagger import numerics as nm
 from dbtagger import tagger, variants
-from dbtagger.corpus import AnnotatedQuery, TagLevel, Token, build_tag_vocab, parse_corpus
+from dbtagger.corpus import AnnotatedQuery, TagLevel, TagVocab, Token, build_tag_vocab, parse_corpus
 from dbtagger.embeddings import EmbeddingTable
-from dbtagger.numerics import Tape, Tensor, backward, finite_diff_check
+from dbtagger.numerics import Tape, Tensor, backward
 from dbtagger.tagger import (
     BiGruLayer,
     CrfLayer,
     DBTaggerModel,
     GruCell,
     MaskStream,
+    ModelFormatError,
     TaggedToken,
     TaskWeights,
     bigru_forward,
@@ -32,6 +33,8 @@ from dbtagger.tagger import (
 )
 from dbtagger.training import TrainConfig
 from dbtagger.variants import build_vocabs
+import model_files
+from oracles import finite_diff_check
 
 RNG = np.random.default_rng
 
@@ -412,13 +415,30 @@ def test_log_partition_row_shift_invariance():
     assert viterbi_decode(crf, shifted)[0][0] == base_tags
 
 
-def test_effective_transitions_mask():
-    crf, _ = random_crf(2, 3, seed=46)
-    eff = crf.effective_transitions()
-    assert np.all(np.isneginf(eff[crf.stop_index, :]))
-    assert np.all(np.isneginf(eff[:, crf.start_index]))
-    inner = eff[:3, :3]
-    assert np.all(np.isfinite(inner))
+def test_crf_never_reads_transitions_out_of_stop_or_into_start():
+    # a ragged chunk of two queries, lengths 4 and 2, packed time-major
+    crf, G = random_crf(8, 3, seed=46)
+    lengths, tags = [4, 2], [[0, 2, 1, 0], [1, 2]]
+
+    def run():
+        crf.transitions.zero_grad()
+        tape = Tape()
+        log_z = crf_log_partition(crf, G, tape, lengths)
+        score = crf_score(crf, G, tags, tape)
+        backward(tape, nm.sum_all(nm.add(log_z, score, tape), tape))
+        return log_z.data, score.data, viterbi_decode(crf, G, lengths), crf.transitions.grad
+
+    log_z, score, decoded, grad = run()
+    rng = RNG(47)
+    crf.transitions.data[crf.stop_index, :] = rng.standard_normal(5) * 10
+    crf.transitions.data[:, crf.start_index] = rng.standard_normal(5) * 10
+    log_z2, score2, decoded2, grad2 = run()
+    assert np.array_equal(log_z, log_z2) and np.array_equal(score, score2)
+    assert decoded == decoded2
+    masked = np.zeros((5, 5), dtype=bool)
+    masked[crf.stop_index, :] = masked[:, crf.start_index] = True
+    assert np.all(grad2[masked] == 0.0)
+    assert np.array_equal(grad, grad2) and np.any(grad[~masked] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +737,47 @@ def test_load_model_rejects_zero_buckets():
     crafted = blob[:13] + (0).to_bytes(8, "little") + blob[21:]
     with pytest.raises(ValueError, match="bucket count"):
         load_model(crafted)
+
+
+@pytest.mark.parametrize("case", ["hidden 0", "hidden 100000", "300000 POS symbols"])
+def test_load_model_checks_sizes_before_building(monkeypatch, case):
+    _, model = tiny_setup(seed=8)
+    blob = model_files.crafted(save_model(model))[case]
+
+    def build(*args, **kwargs):
+        raise AssertionError("DBTaggerModel.build was reached")
+
+    monkeypatch.setattr(DBTaggerModel, "build", build)
+    with pytest.raises(ModelFormatError):
+        load_model(blob)
+
+
+def test_load_model_rejects_an_empty_vocabulary():
+    # well-formed otherwise: no TYPE symbols and 2 x 2 TYPE transitions
+    _, model = tiny_setup(seed=8)
+    vocabs = dict(model.vocabs)
+    vocabs[TagLevel.TYPE] = TagVocab(TagLevel.TYPE, ())
+    empty = DBTaggerModel.build(model.embeddings, vocabs, hidden=3)
+    with pytest.raises(ModelFormatError, match="TYPE vocabulary is empty"):
+        load_model(save_model(empty))
+
+
+def test_load_model_rejects_non_finite_values():
+    _, model = tiny_setup(seed=8)
+    model.heads[2].crf.emit_bias.data[0, 1] = np.nan
+    with pytest.raises(ModelFormatError, match=r"parameter head\.SCHEMA\.crf\.emit_bias"):
+        load_model(save_model(model))
+    _, model = tiny_setup(seed=8)
+    model.embeddings.vectors["Nash"] = np.full(4, np.inf)
+    with pytest.raises(ModelFormatError, match="token 'Nash'"):
+        load_model(save_model(model))
+
+
+def test_tag_query_rejects_a_model_whose_scores_overflow():
+    ds, model = tiny_setup(seed=8)
+    model.heads[2].crf.transitions.data[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        tag_query(model, ds.queries[0].words)
 
 
 def test_tag_query_reproduces_table1(overfit_model, table1_query):
