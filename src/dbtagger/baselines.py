@@ -27,10 +27,10 @@ def normalize(text: str) -> str:
     return " ".join(text.translate(_PUNCT_TABLE).lower().split())
 
 
-def word_ngrams(words: list[str], max_n: int = NGRAM_LIMIT) -> list[str]:
-    """All contiguous word n-grams for n = 1..max_n."""
+def word_ngrams(words: list[str]) -> list[str]:
+    """All contiguous word n-grams for n = 1..NGRAM_LIMIT."""
     grams = []
-    for n in range(1, min(max_n, len(words)) + 1):
+    for n in range(1, min(NGRAM_LIMIT, len(words)) + 1):
         for start in range(len(words) - n + 1):
             grams.append(" ".join(words[start : start + n]))
     return grams
@@ -235,12 +235,10 @@ def embedding_similarity_map(
 
 
 def scan_map(
-    snapshot: ContentSnapshot,
-    token_ngrams: list[tuple[int, int, str]],
-    row_limit: int = SCAN_ROW_LIMIT,
+    snapshot: ContentSnapshot, token_ngrams: list[tuple[int, int, str]]
 ) -> list[MappingResult]:
     """Substring scan of every text column per query n-gram, counting at
-    most ``row_limit`` matching rows per column; the column with the most
+    most ``SCAN_ROW_LIMIT`` matching rows per column; the column with the most
     matches wins, ties to the lexicographically smaller name."""
     results = []
     for start, end, phrase in token_ngrams:
@@ -253,7 +251,7 @@ def scan_map(
             for value in values:
                 if needle in normalize(value):
                     count += 1
-                    if count >= row_limit:
+                    if count >= SCAN_ROW_LIMIT:
                         break
             if count:
                 hits[column] = count

@@ -18,8 +18,8 @@ from .corpus import CorpusError, TagLevel, parse_corpus, train_val_split, valida
 from .embeddings import load_embeddings
 from .evaluation import MapperFamily, bench_scaling, render_report, report_as_dict, scaling_csv
 from .schema import load_schema, synthetic_snapshot
-from .tagger import TaggedQuery, load_model, save_model, tag_query
-from .training import TrainConfig, cross_validate, history_lines, predict, train
+from .tagger import TaggedQuery, load_model, save_model, tag_queries, tag_query
+from .training import TrainConfig, cross_validate, history_lines, train
 from .variants import VARIANTS, build_vocabs, make_variant
 
 DEFAULT_SEED = 13
@@ -149,7 +149,7 @@ def _emit_tagged(tagged: TaggedQuery, fmt: str) -> str:
                 ],
             },
             sort_keys=True,
-        )
+        ) + "\n"
     lines = [f"{t.text}\t{t.type_tag}\t{t.schema_tag}" for t in tagged.tokens]
     return "\n".join(lines) + "\n"
 
@@ -157,23 +157,17 @@ def _emit_tagged(tagged: TaggedQuery, fmt: str) -> str:
 def _cmd_tag(args) -> int:
     model = load_model(Path(args.model).read_bytes())
     text = _read(args.input) if args.input else sys.stdin.read()
-    first = True
-    for line in text.splitlines():
-        tokens = line.split()
-        if not tokens:
-            continue
-        tagged = tag_query(model, tokens)
-        if args.format != "json" and not first:
-            print()
-        first = False
-        print(_emit_tagged(tagged, args.format), end="" if args.format != "json" else "\n")
+    sentences = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
+    tagged = [_emit_tagged(query, args.format) for query in tag_queries(model, sentences)]
+    # text blocks are separated by a blank line, JSON objects are one a line
+    print(("" if args.format == "json" else "\n").join(tagged), end="")
     return 0
 
 
 def _cmd_eval(args) -> int:
     model = load_model(Path(args.model).read_bytes())
     dataset = parse_corpus(_read(args.corpus), name=Path(args.corpus).stem)
-    report = evaluation.score(predict(model, dataset.queries), dataset)
+    report = evaluation.score(model.predict_tags([q.words for q in dataset.queries]), dataset)
     _print_report(report, args.format, title=f"eval {dataset.name}")
     return 0
 

@@ -34,11 +34,11 @@ def fnv1a(data: bytes) -> int:
     return h
 
 
-def char_ngrams(token: str, n_min: int = NGRAM_MIN, n_max: int = NGRAM_MAX) -> list[str]:
+def char_ngrams(token: str) -> list[str]:
     """All character n-grams of the boundary-padded token."""
     padded = f"<{token}>"
     grams = []
-    for n in range(n_min, n_max + 1):
+    for n in range(NGRAM_MIN, NGRAM_MAX + 1):
         for start in range(0, len(padded) - n + 1):
             grams.append(padded[start : start + n])
     return grams

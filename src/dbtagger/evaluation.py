@@ -205,18 +205,16 @@ def bench_latency(
     mapper_fn,
     queries: list,
     repetitions: int = 5,
-    warmup: int = 1,
     name: str = "mapper",
     mem_bytes: int = 0,
     rows: int | None = None,
 ) -> BenchReport:
     """Per-call wall-clock distribution of ``mapper_fn`` over the queries,
-    with the first ``warmup`` sweeps excluded."""
+    after one untimed warm-up sweep."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    for _ in range(warmup):
-        for q in queries:
-            mapper_fn(q)
+    for q in queries:
+        mapper_fn(q)
     samples = []
     for _ in range(repetitions):
         for q in queries:
@@ -242,7 +240,6 @@ def bench_scaling(
     row_counts: list[int],
     queries: list,
     repetitions: int = 3,
-    warmup: int = 1,
 ) -> list[BenchReport]:
     """One report per (row count, mapper family), with the same queries at
     every size so latencies are comparable across sizes."""
@@ -256,7 +253,6 @@ def bench_scaling(
                     mapper_fn,
                     queries,
                     repetitions=repetitions,
-                    warmup=warmup,
                     name=family.name,
                     mem_bytes=mem,
                     rows=rows,

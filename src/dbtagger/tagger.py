@@ -499,12 +499,16 @@ class TaskHead:
         return gru + self.crf.parameters(f"{prefix}.crf")
 
 
+def _check_dropout_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:  # also rejects NaN
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+
+
 class MaskStream:
     """Seeded source of inverted-scale Bernoulli dropout masks."""
 
     def __init__(self, rate: float, rng: np.random.Generator):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        _check_dropout_rate(rate)
         self.rate = rate
         self._rng = rng
 
@@ -557,6 +561,7 @@ class DBTaggerModel:
         self.heads = heads
         self.vocabs = vocabs
         self.weights = weights
+        _check_dropout_rate(dropout_rate)
         self.dropout_rate = dropout_rate
         self.extra_features = extra_features
 
@@ -605,12 +610,8 @@ class DBTaggerModel:
         return total_loss(self, queries, mask_stream)
 
     def predict_tags(self, sentences: list[list[str]]) -> list[list[str]]:
-        """Viterbi tags of the last head for each sentence of a chunk."""
-        head = self.heads[-1]
-        emissions = model_forward(self, sentences, record=False, levels=(head.level,))[-2]
-        decoded = viterbi_decode(head.crf, emissions, [len(s) for s in sentences])
-        symbols = self.vocabs[head.level].symbols
-        return [[symbols[i] for i in tags] for tags, _ in decoded]
+        """Viterbi tags of the last head for each sentence."""
+        return decode(self, sentences, (self.heads[-1].level,))[self.heads[-1].level]
 
     def gold_tags(self, query: AnnotatedQuery) -> list[str]:
         return query.tags(self.heads[-1].level)
@@ -720,6 +721,27 @@ def total_loss(
     return nm.sum_all(per_query, tape), per_query.data[:, 0], tape
 
 
+def decode(
+    model: DBTaggerModel, sentences: list[list[str]], levels: tuple[TagLevel, ...]
+) -> dict[TagLevel, list[list[str]]]:
+    """Viterbi tags of the heads at ``levels``, per level one tag list per
+    sentence.  The network's only pass without a tape: one ``model_forward``
+    per chunk of ``CHUNK`` sentences and one Viterbi pass per wanted head.  A
+    model whose scores overflow raises ValueError rather than tag."""
+    tags = {level: [] for level in levels}
+    for chunk in chunks(sentences):
+        *emissions, _ = model_forward(model, chunk, record=False, levels=levels)
+        for head, emission in zip(model.heads, emissions):
+            if emission is None:
+                continue
+            decoded = viterbi_decode(head.crf, emission, [len(s) for s in chunk])
+            if not all(math.isfinite(score) for _, score in decoded):
+                raise ValueError("tag scores are not finite: the model's parameters overflow")
+            symbols = model.vocabs[head.level].symbols
+            tags[head.level] += [[symbols[i] for i in path] for path, _ in decoded]
+    return tags
+
+
 @dataclass(frozen=True)
 class TaggedToken:
     text: str
@@ -768,28 +790,21 @@ def merge_value_spans(tokens: list[TaggedToken]) -> tuple[ValueSpan, ...]:
     return tuple(spans)
 
 
+def tag_queries(model: DBTaggerModel, sentences: list[list[str]]) -> list[TaggedQuery]:
+    """Decode TYPE and SCHEMA tags for tokenized queries and merge each
+    query's value spans.  The POS head only shapes training; its emission is
+    not computed."""
+    tags = decode(model, sentences, (TagLevel.TYPE, TagLevel.SCHEMA))
+    tagged = []
+    for words, types, schemas in zip(sentences, tags[TagLevel.TYPE], tags[TagLevel.SCHEMA]):
+        tokens = [TaggedToken(*token) for token in zip(words, types, schemas)]
+        tagged.append(TaggedQuery(tokens=tuple(tokens), value_spans=merge_value_spans(tokens)))
+    return tagged
+
+
 def tag_query(model: DBTaggerModel, tokens: list[str]) -> TaggedQuery:
-    """Decode TYPE and SCHEMA tags for a tokenized query and merge value
-    spans.  The POS head only shapes training; its emission is not computed.
-    A model whose scores overflow raises ValueError rather than tag."""
-    _, g_type, g_schema, _ = model_forward(
-        model, [tokens], record=False, levels=(TagLevel.TYPE, TagLevel.SCHEMA)
-    )
-    (type_idx, type_score), = viterbi_decode(model.heads[1].crf, g_type)
-    (schema_idx, schema_score), = viterbi_decode(model.heads[2].crf, g_schema)
-    if not math.isfinite(type_score + schema_score):
-        raise ValueError("tag scores are not finite: the model's parameters overflow")
-    type_vocab = model.vocabs[TagLevel.TYPE]
-    schema_vocab = model.vocabs[TagLevel.SCHEMA]
-    tagged = [
-        TaggedToken(
-            text=tok,
-            type_tag=type_vocab.symbols[ti],
-            schema_tag=schema_vocab.symbols[si],
-        )
-        for tok, ti, si in zip(tokens, type_idx, schema_idx)
-    ]
-    return TaggedQuery(tokens=tuple(tagged), value_spans=merge_value_spans(tagged))
+    """``tag_queries`` of one query."""
+    return tag_queries(model, [tokens])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -934,12 +949,11 @@ def load_model(blob: bytes) -> DBTaggerModel:
     try:
         embeddings = EmbeddingTable(dim, vectors, bucket_count=buckets, subword_seed=subword_seed)
         weights = TaskWeights(*task_weights)
+        model = DBTaggerModel.build(
+            embeddings, vocabs, hidden=hidden, weights=weights, dropout_rate=dropout_rate, seed=0
+        )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-
-    model = DBTaggerModel.build(
-        embeddings, vocabs, hidden=hidden, weights=weights, dropout_rate=dropout_rate, seed=0
-    )
     expected = model.parameters()
     if set(stored) != {name for name, _ in expected}:
         raise ModelFormatError("model file parameter set does not match the architecture")

@@ -61,19 +61,21 @@ def history_lines(history: list[EpochRecord]) -> str:
     return "\n".join(out) + "\n"
 
 
+ADADELTA_RHO, ADADELTA_EPS = 0.95, 1e-6
+NADAM_ALPHA, NADAM_BETA1, NADAM_BETA2, NADAM_EPS = 0.002, 0.9, 0.999, 1e-8
+
+
 class AdadeltaState:
     """Per-parameter accumulators of squared gradients and squared updates."""
 
-    def __init__(self, params: list[Tensor], rho: float = 0.95, eps: float = 1e-6):
-        self.rho = rho
-        self.eps = eps
+    def __init__(self, params: list[Tensor]):
         self.acc_grad = [np.zeros(p.shape) for p in params]
         self.acc_update = [np.zeros(p.shape) for p in params]
 
 
 def adadelta_step(state: AdadeltaState, params: list[Tensor], grads: list[np.ndarray]) -> None:
     """One in-place Adadelta update."""
-    rho, eps = state.rho, state.eps
+    rho, eps = ADADELTA_RHO, ADADELTA_EPS
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
@@ -86,18 +88,7 @@ def adadelta_step(state: AdadeltaState, params: list[Tensor], grads: list[np.nda
 class NadamState:
     """Adam moments with a Nesterov-corrected update direction."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        alpha: float = 0.002,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: list[Tensor]):
         self.step_count = 0
         self.m = [np.zeros(p.shape) for p in params]
         self.v = [np.zeros(p.shape) for p in params]
@@ -107,7 +98,7 @@ def nadam_step(state: NadamState, params: list[Tensor], grads: list[np.ndarray])
     """One in-place Nadam update."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = NADAM_BETA1, NADAM_BETA2
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
@@ -116,22 +107,14 @@ def nadam_step(state: NadamState, params: list[Tensor], grads: list[np.ndarray])
         m_hat = state.m[i] / (1.0 - b1 ** (t + 1))
         v_hat = state.v[i] / (1.0 - b2**t)
         direction = b1 * m_hat + (1.0 - b1) * g / (1.0 - b1**t)
-        p.data = p.data - state.alpha * direction / (np.sqrt(v_hat) + state.eps)
-
-
-def predict(predictor, queries) -> list[list[str]]:
-    """The predictor's tags for each query, decoded a chunk at a time."""
-    return [
-        tags
-        for chunk in chunks(list(queries))
-        for tags in predictor.predict_tags([q.words for q in chunk])
-    ]
+        p.data = p.data - NADAM_ALPHA * direction / (np.sqrt(v_hat) + NADAM_EPS)
 
 
 def token_accuracy(trainable, dataset: Dataset) -> float:
     """Fraction of tokens tagged correctly at the trainable's own level."""
     correct = total = 0
-    for query, predicted in zip(dataset.queries, predict(trainable, dataset.queries)):
+    predictions = trainable.predict_tags([q.words for q in dataset.queries])
+    for query, predicted in zip(dataset.queries, predictions):
         gold = trainable.gold_tags(query)
         correct += sum(1 for p, g in zip(predicted, gold) if p == g)
         total += len(gold)
@@ -265,4 +248,4 @@ def _run_fold(job):
 
     variant, train_ds, test_ds, full_ds, schema, embeddings, config = job
     predictor = fit_variant(variant, train_ds, full_ds, schema, embeddings, config)
-    return score(predict(predictor, test_ds.queries), test_ds)
+    return score(predictor.predict_tags([q.words for q in test_ds.queries]), test_ds)

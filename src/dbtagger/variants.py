@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import AnnotatedQuery, Dataset, TagLevel, build_tag_vocab
+from .corpus import Dataset, TagLevel, build_tag_vocab
 from .embeddings import EmbeddingTable
 from .numerics import Tensor
 from .schema import Schema, derive_schema_tags
@@ -98,9 +98,6 @@ class MtSeqTagger:
 
     def predict_tags(self, sentences: list[list[str]]) -> list[list[str]]:
         return self.stages[TagLevel.SCHEMA].predict_tags(sentences)
-
-    def gold_tags(self, query: AnnotatedQuery) -> list[str]:
-        return query.tags(TagLevel.SCHEMA)
 
 
 def build_vocabs(dataset: Dataset, schema: Schema | None):

@@ -44,6 +44,13 @@ def with_u32(blob: bytes, offset: int, value: int) -> bytes:
     return blob[:offset] + struct.pack("<I", value) + blob[offset + 4 :]
 
 
+def with_dropout_rate(blob: bytes, rate: float) -> bytes:
+    """The file with ``rate`` as its dropout rate, the f64 that follows the
+    u32 hidden size and the three f64 task weights."""
+    offset = next(offset for kind, offset in size_fields(blob) if kind == "hidden") + 4 + 24
+    return blob[:offset] + struct.pack("<d", rate) + blob[offset + 8 :]
+
+
 def crafted(blob: bytes) -> dict[str, bytes]:
     """Files that declare sizes their stored tensors do not carry: hidden 0,
     hidden 100000 (74.5 GiB of network), and a POS vocabulary of 300 000

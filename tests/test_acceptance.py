@@ -238,7 +238,7 @@ def test_criterion_7_baseline_rules(imdb_subset):
 
         # scan row cap at exactly 2000
         big = load_snapshot(schema, {"m": "v\n" + "heat\n" * 2600})
-        hits = scan_map(big, [(0, 1, "heat")], row_limit=2000)
+        hits = scan_map(big, [(0, 1, "heat")])
         assert hits[0].score == 2000.0
 
         # edit-distance selection against the DP oracle

@@ -301,7 +301,7 @@ def test_scan_map_row_cap_makes_ties_deterministic():
         schema,
         {"a": "x\n" + "heat\n" * 2600, "b": "x\n" + "heat\n" * 2200},
     )
-    results = scan_map(snapshot, [(0, 1, "heat")], row_limit=2000)
+    results = scan_map(snapshot, [(0, 1, "heat")])
     # both columns cap at 2000; the tie resolves lexicographically
     assert results[0].score == 2000.0
     assert results[0].target == "a.x"

@@ -334,6 +334,22 @@ def test_tag_rejects_model_whose_scores_overflow(trained_model_path, workdir, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "not finite" in captured.err
+    # eval decodes through the same path and refuses to score the tags
+    corpus = str(workdir / "fixture_corpus.tsv")
+    with np.errstate(over="ignore"):
+        assert run(["eval", "--model", str(workdir / "overflow.bin"), "--corpus", corpus]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not finite" in captured.err
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 1.5, -3.0])
+def test_tag_rejects_model_with_dropout_rate_outside_0_1(trained_model_path, workdir, capsys, rate):
+    blob = model_files.with_dropout_rate(trained_model_path.read_bytes(), rate)
+    assert _tag_status(blob, workdir, "dropout.bin") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "dropout rate" in captured.err
 
 
 def test_train_rejects_non_finite_embedding(workdir, capsys):

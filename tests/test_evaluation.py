@@ -132,7 +132,7 @@ def test_bench_latency_calibrated_stub():
     def stub(query):
         time.sleep(delay)
 
-    report = bench_latency(stub, ["q1", "q2"], repetitions=4, warmup=1, name="stub")
+    report = bench_latency(stub, ["q1", "q2"], repetitions=4, name="stub")
     assert report.samples == 8
     assert report.median_ms == pytest.approx(delay * 1000, rel=0.5)
     assert report.min_ms >= delay * 1000 * 0.8
@@ -145,8 +145,8 @@ def test_bench_latency_monotone_under_added_delay():
     def slow(query):
         time.sleep(0.004)
 
-    fast_report = bench_latency(fast, ["q"], repetitions=5, warmup=1)
-    slow_report = bench_latency(slow, ["q"], repetitions=5, warmup=1)
+    fast_report = bench_latency(fast, ["q"], repetitions=5)
+    slow_report = bench_latency(slow, ["q"], repetitions=5)
     assert slow_report.median_ms > fast_report.median_ms
 
 
@@ -188,7 +188,6 @@ def test_trained_tagger_latency_regression_bound(overfit_model, table1_query):
         lambda tokens: tag_query(model, tokens),
         [table1_query.words],
         repetitions=5,
-        warmup=1,
         name="tagger",
     )
     assert report.median_ms < 100.0

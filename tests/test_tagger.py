@@ -1,4 +1,7 @@
+import ast
 import itertools
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from dbtagger.tagger import (
     merge_value_spans,
     model_forward,
     save_model,
+    tag_queries,
     tag_query,
     total_loss,
     viterbi_decode,
@@ -752,6 +756,15 @@ def test_load_model_checks_sizes_before_building(monkeypatch, case):
         load_model(blob)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 1.5, -3.0])
+def test_load_model_rejects_a_dropout_rate_outside_0_1(rate):
+    _, model = tiny_setup(seed=8)
+    blob = save_model(model)
+    assert load_model(model_files.with_dropout_rate(blob, 0.25)).dropout_rate == 0.25
+    with pytest.raises(ModelFormatError, match="dropout rate must be in"):
+        load_model(model_files.with_dropout_rate(blob, rate))
+
+
 def test_load_model_rejects_an_empty_vocabulary():
     # well-formed otherwise: no TYPE symbols and 2 x 2 TYPE transitions
     _, model = tiny_setup(seed=8)
@@ -1039,3 +1052,70 @@ def test_decoding_computes_only_the_emissions_it_reads(
     tagged = tag_query(model, words)
     assert [[t.type_tag for t in tagged.tokens], [t.schema_tag for t in tagged.tokens]] == want_tagged
     assert calls == {"emissions": 2, "gru": 5}
+
+
+# ---------------------------------------------------------------------------
+# one decode path
+
+
+def test_tag_queries_equal_tag_query_one_query_at_a_time(overfit_model, fixture_corpus):
+    model, _ = overfit_model
+    fixture = [q.words for q in fixture_corpus.queries]
+    rng = random.Random(11)
+    run_together = [rng.choice(fixture) + rng.choice(fixture) for _ in range(300)]
+    sentences = fixture + run_together
+    assert tag_queries(model, sentences) == [tag_query(model, s) for s in sentences]
+
+
+def test_decode_makes_one_forward_pass_per_chunk(
+    monkeypatch, fixture_corpus, imdb_subset, fixture_embeddings
+):
+    model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=8)
+    sentences = [q.words for q in fixture_corpus.queries[:40]]
+    chunk_sizes = []
+    real_forward = tagger.model_forward
+
+    def counting_forward(model, chunk, *args, **kwargs):
+        chunk_sizes.append(len(chunk))
+        return real_forward(model, chunk, *args, **kwargs)
+
+    monkeypatch.setattr(tagger, "model_forward", counting_forward)
+    tags = tagger.decode(model, sentences, (TagLevel.TYPE, TagLevel.SCHEMA))
+    assert chunk_sizes == [16, 16, 8]
+    for level in (TagLevel.TYPE, TagLevel.SCHEMA):
+        assert [len(t) for t in tags[level]] == [len(s) for s in sentences]
+
+
+def _tape_free_calls(tree: ast.Module) -> set[tuple[str, str]]:
+    """(enclosing function, callee) of every ``viterbi_decode`` call and of
+    every ``model_forward`` call whose ``record`` is not the default or a
+    literal True."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            record = [k.value for k in node.keywords if k.arg == "record"] + node.args[3:4]
+            taped = all(isinstance(v, ast.Constant) and v.value is True for v in record)
+            if callee == "viterbi_decode" or (callee == "model_forward" and not taped):
+                found.add((owner, callee))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_decode_is_the_only_tape_free_pass_of_the_network():
+    package = Path(tagger.__file__).parent
+    found = {
+        (path.stem, *call)
+        for path in package.glob("*.py")
+        for call in _tape_free_calls(ast.parse(path.read_text()))
+    }
+    assert found == {
+        ("tagger", "decode", "model_forward"),
+        ("tagger", "decode", "viterbi_decode"),
+    }

@@ -39,7 +39,7 @@ def test_adadelta_zero_gradient_leaves_parameters():
 
 def test_adadelta_scalar_first_step_hand_value():
     p = Tensor(np.array([[0.0]]))
-    state = AdadeltaState([p], rho=0.95, eps=1e-6)
+    state = AdadeltaState([p])
     adadelta_step(state, [p], [np.array([[1.0]])])
     # hand evaluation of the update rule at the first step
     acc_grad = 0.05 * 1.0
@@ -66,7 +66,7 @@ def test_nadam_zero_gradient_zero_moment_no_update():
 def test_nadam_scalar_first_step_reference():
     alpha, b1, b2, eps = 0.002, 0.9, 0.999, 1e-8
     p = Tensor(np.array([[0.0]]))
-    state = NadamState([p], alpha=alpha, beta1=b1, beta2=b2, eps=eps)
+    state = NadamState([p])
     nadam_step(state, [p], [np.array([[1.0]])])
     # independent evaluation of the update formula, t = 1
     g = 1.0
@@ -85,7 +85,7 @@ def test_nadam_first_step_opposes_gradient():
     for seed in range(5):
         g = float(RNG(seed).standard_normal()) or 1.0
         p = Tensor(np.array([[0.0]]))
-        state = NadamState([p], alpha=0.01)
+        state = NadamState([p])
         nadam_step(state, [p], [np.array([[g]])])
         assert np.sign(p.data[0, 0]) == -np.sign(g)
 
