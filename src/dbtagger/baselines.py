@@ -205,7 +205,6 @@ def embedding_similarity_map(
     token: str,
     candidates: list[tuple[str, str]],
     threshold: float,
-    kind: str = "relation",
     token_index: int = 0,
 ) -> MappingResult | None:
     """Highest cosine similarity at or above the threshold wins.
@@ -229,8 +228,7 @@ def embedding_similarity_map(
     if best is None or best[1] < threshold:
         return None
     return MappingResult(
-        start=token_index, end=token_index + 1, target=best[2], kind="value" if kind == "value" else "relation",
-        score=best[1],
+        start=token_index, end=token_index + 1, target=best[2], kind="relation", score=best[1]
     )
 
 

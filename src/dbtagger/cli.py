@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, evaluation, schema as schema_mod, translate as translate_mod
+from . import baselines, corpus, evaluation, schema as schema_mod, translate as translate_mod
 from .corpus import CorpusError, TagLevel, parse_corpus, train_val_split, validate_against_vocab
 from .embeddings import load_embeddings
 from .evaluation import MapperFamily, bench_scaling, render_report, report_as_dict, scaling_csv
@@ -123,7 +123,7 @@ def _cmd_train(args) -> int:
     vocabs = build_vocabs(dataset, db_schema)
     validate_against_vocab(dataset, vocabs[TagLevel.SCHEMA])
     config = _config_from_args(args)
-    model = make_variant("DBTagger", vocabs, embeddings, config)
+    (model,) = make_variant("DBTagger", vocabs, embeddings, config)
     if len(dataset) >= 6:
         train_ds, val_ds = train_val_split(dataset, config.seed)
     else:
@@ -305,7 +305,12 @@ def _parse_tagged_tsv(text: str) -> TaggedQuery:
         cols = line.split("\t")
         if len(cols) != 3:
             raise CorpusError("expected 3 tab-separated columns (token, type, schema)", line=lineno)
-        tokens.append(TaggedToken(text=cols[0], type_tag=cols[1], schema_tag=cols[2]))
+        token, type_tag, schema_tag = cols[0], cols[1], corpus.canonical_schema_tag(cols[2])
+        try:
+            corpus.check_tag_pair(token, type_tag, schema_tag)
+        except CorpusError as exc:
+            raise CorpusError(str(exc), line=lineno) from None
+        tokens.append(TaggedToken(text=token, type_tag=type_tag, schema_tag=schema_tag))
     if not tokens:
         raise CorpusError("no tagged tokens")
     return TaggedQuery(tokens=tuple(tokens), value_spans=merge_value_spans(tokens))

@@ -32,6 +32,25 @@ class CorpusError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def check_tag_pair(text: str, type_tag: str, schema_tag: str) -> None:
+    """Raise CorpusError unless ``type_tag`` is a known type tag that may
+    label a token with ``schema_tag``: O pairs only with O, COND only with
+    COND, and VALUE only with a qualified ``table.attribute``."""
+    if type_tag not in TYPE_TAGS:
+        raise CorpusError(f"unknown type tag {type_tag!r} on token {text!r}")
+    if type_tag == "O" and schema_tag != "O":
+        raise CorpusError(f"token {text!r} has type O but schema tag {schema_tag!r} (must be O)")
+    if type_tag == "COND" and schema_tag != "COND":
+        raise CorpusError(
+            f"token {text!r} has type COND but schema tag {schema_tag!r} (must be COND)"
+        )
+    if type_tag == "VALUE" and "." not in schema_tag:
+        raise CorpusError(
+            f"token {text!r} has type VALUE but schema tag {schema_tag!r} "
+            "does not name a qualified attribute"
+        )
+
+
 @dataclass(frozen=True)
 class Token:
     text: str
@@ -44,21 +63,7 @@ class Token:
             raise CorpusError(f"token text must be non-empty without whitespace, got {self.text!r}")
         if not self.pos:
             raise CorpusError(f"empty POS tag on token {self.text!r}")
-        if self.type_tag not in TYPE_TAGS:
-            raise CorpusError(f"unknown type tag {self.type_tag!r} on token {self.text!r}")
-        if self.type_tag == "O" and self.schema_tag != "O":
-            raise CorpusError(
-                f"token {self.text!r} has type O but schema tag {self.schema_tag!r} (must be O)"
-            )
-        if self.type_tag == "COND" and self.schema_tag != "COND":
-            raise CorpusError(
-                f"token {self.text!r} has type COND but schema tag {self.schema_tag!r} (must be COND)"
-            )
-        if self.type_tag == "VALUE" and "." not in self.schema_tag:
-            raise CorpusError(
-                f"token {self.text!r} has type VALUE but schema tag {self.schema_tag!r} "
-                "does not name a qualified attribute"
-            )
+        check_tag_pair(self.text, self.type_tag, self.schema_tag)
 
     def tag(self, level: TagLevel) -> str:
         if level is TagLevel.POS:
@@ -142,7 +147,7 @@ class TagVocab:
         return cached
 
 
-def _canonical_schema_tag(raw: str) -> str:
+def canonical_schema_tag(raw: str) -> str:
     """COND and O are canonicalized case-insensitively; all else untouched."""
     if raw.upper() == "COND":
         return "COND"
@@ -181,7 +186,7 @@ def parse_corpus(stream, name: str = "corpus") -> Dataset:
                 text=text,
                 pos=pos,
                 type_tag=type_tag,
-                schema_tag=_canonical_schema_tag(schema_tag),
+                schema_tag=canonical_schema_tag(schema_tag),
             )
         except CorpusError as exc:
             raise CorpusError(str(exc), line=lineno) from None

@@ -111,7 +111,7 @@ def embed_query(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
     return np.stack([embed_token(table, t) for t in tokens])
 
 
-def load_embeddings(stream, expected_dim: int | None = None) -> EmbeddingTable:
+def load_embeddings(stream) -> EmbeddingTable:
     """Parse the text vector format: ``token v1 ... vd`` per line.
 
     An optional first line ``count dim`` is accepted, as is a
@@ -182,8 +182,6 @@ def load_embeddings(stream, expected_dim: int | None = None) -> EmbeddingTable:
 
     if not vectors:
         raise EmbeddingFormatError("no vectors found")
-    if expected_dim is not None and dimension != expected_dim:
-        raise EmbeddingFormatError(f"expected dimension {expected_dim}, file has {dimension}")
     return EmbeddingTable(
         dimension=dimension,
         vectors=vectors,

@@ -78,31 +78,41 @@ class GruCell:
     """Gated recurrent unit with update/reset gates and a tanh candidate.
 
     The gates are stored stacked, rows in update, reset, candidate order:
-    ``input`` (3u x d), ``recurrent`` (3u x u) and ``bias`` (3u x 1).
+    ``input`` (3u x d), ``recurrent`` (3u x u) and ``bias`` (3u x 1).  The
+    cell holds the arrays it is given and reads d and u off their shapes.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        u, d = hidden_size, input_size
-        # drawn gate by gate, input block then recurrent block
-        blocks = [_glorot(rng, shape) for _ in range(3) for shape in ((u, d), (u, u))]
-        self.input = Tensor(np.vstack(blocks[0::2]))
-        self.recurrent = Tensor(np.vstack(blocks[1::2]))
-        self.bias = Tensor(np.zeros((3 * u, 1)))
+    FIELDS = ("input", "recurrent", "bias")
+
+    def __init__(self, input: np.ndarray, recurrent: np.ndarray, bias: np.ndarray):
+        rows, u = recurrent.shape
+        if u < 1 or rows != 3 * u or input.shape[0] != rows or bias.shape != (rows, 1):
+            raise nm.ShapeError(
+                f"GRU gates of shapes {input.shape}, {recurrent.shape}, {bias.shape} do not "
+                "stack as (3u x d), (3u x u), (3u x 1) with u >= 1"
+            )
+        self.input_size = input.shape[1]
+        self.hidden_size = self.output_size = u
+        self.input = Tensor(input)
+        self.recurrent = Tensor(recurrent)
+        self.bias = Tensor(bias)
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.input", self.input),
-            (f"{prefix}.recurrent", self.recurrent),
-            (f"{prefix}.bias", self.bias),
-        ]
+        return [(f"{prefix}.{field}", getattr(self, field)) for field in self.FIELDS]
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     fan_out, fan_in = shape
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
+
+
+def fresh_gru(input_size: int, hidden_size: int, rng: np.random.Generator) -> GruCell:
+    """A cell of Glorot-drawn weights and zero biases."""
+    u, d = hidden_size, input_size
+    # drawn gate by gate, input block then recurrent block
+    blocks = [_glorot(rng, shape) for _ in range(3) for shape in ((u, d), (u, u))]
+    return GruCell(np.vstack(blocks[0::2]), np.vstack(blocks[1::2]), np.zeros((3 * u, 1)))
 
 
 def gru_sequence(
@@ -223,15 +233,24 @@ def gru_sequence(
 
 
 class BiGruLayer:
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        self.hidden_size = hidden_size
-        self.forward_cell = GruCell(input_size, hidden_size, rng)
-        self.backward_cell = GruCell(input_size, hidden_size, rng)
+    def __init__(self, fwd: GruCell, bwd: GruCell):
+        if fwd.input.shape != bwd.input.shape:
+            raise nm.ShapeError(f"bi-GRU directions differ: {fwd.input.shape} vs {bwd.input.shape}")
+        self.input_size = fwd.input_size
+        self.hidden_size = fwd.hidden_size
+        self.output_size = 2 * fwd.hidden_size
+        self.forward_cell = fwd
+        self.backward_cell = bwd
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return self.forward_cell.parameters(f"{prefix}.fwd") + self.backward_cell.parameters(
             f"{prefix}.bwd"
         )
+
+
+def fresh_bigru(input_size: int, hidden_size: int, rng: np.random.Generator) -> BiGruLayer:
+    """Two fresh cells, the forward one drawn first."""
+    return BiGruLayer(*(fresh_gru(input_size, hidden_size, rng) for _ in range(2)))
 
 
 def bigru_forward(
@@ -266,12 +285,21 @@ class CrfLayer:
     rows are ignored and receive exactly zero gradient.
     """
 
-    def __init__(self, tag_count: int, feature_size: int, rng: np.random.Generator):
-        self.tag_count = tag_count
-        self.feature_size = feature_size
-        self.emit_weight = Tensor(_glorot(rng, (feature_size, tag_count)))
-        self.emit_bias = Tensor(np.zeros((1, tag_count)))
-        self.transitions = Tensor(np.zeros((tag_count + 2, tag_count + 2)))
+    FIELDS = ("emit_weight", "emit_bias", "transitions")
+
+    def __init__(self, emit_weight: np.ndarray, emit_bias: np.ndarray, transitions: np.ndarray):
+        k = transitions.shape[0] - 2
+        shapes = (emit_weight.shape[1], emit_bias.shape, transitions.shape)
+        if shapes != (k, (1, k), (k + 2, k + 2)):
+            raise nm.ShapeError(
+                f"CRF arrays of shapes {emit_weight.shape}, {emit_bias.shape}, "
+                f"{transitions.shape} are not (f x k), (1 x k), (k+2 x k+2)"
+            )
+        self.tag_count = k
+        self.feature_size = emit_weight.shape[0]
+        self.emit_weight = Tensor(emit_weight)
+        self.emit_bias = Tensor(emit_bias)
+        self.transitions = Tensor(transitions)
 
     @property
     def start_index(self) -> int:
@@ -308,11 +336,14 @@ class CrfLayer:
         return out
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.emit_weight", self.emit_weight),
-            (f"{prefix}.emit_bias", self.emit_bias),
-            (f"{prefix}.transitions", self.transitions),
-        ]
+        return [(f"{prefix}.{field}", getattr(self, field)) for field in self.FIELDS]
+
+
+def fresh_crf(tag_count: int, feature_size: int, rng: np.random.Generator) -> CrfLayer:
+    """A CRF of Glorot-drawn emission weights, zero emission biases and zero
+    transitions."""
+    k = tag_count
+    return CrfLayer(_glorot(rng, (feature_size, k)), np.zeros((1, k)), np.zeros((k + 2, k + 2)))
 
 
 def _checked(crf: CrfLayer, emissions, lengths):
@@ -475,23 +506,16 @@ class TaskWeights:
         return (self.pos, self.type, self.schema)
 
 
+@dataclass
 class TaskHead:
     """One tag level: a uni-directional GRU over the encoder output (or
     none, so the CRF reads the encoder output directly) and a CRF whose
-    features are the GRU states plus ``skip_width`` columns of skip input."""
+    features are the head's states plus, after the first head, the previous
+    head's states."""
 
-    def __init__(
-        self, level: TagLevel, cell: GruCell | None, crf: CrfLayer, skip_width: int = 0
-    ):
-        if cell is not None and crf.feature_size != cell.hidden_size + skip_width:
-            raise nm.ShapeError(
-                f"{level.value} head: CRF expects {crf.feature_size} features, "
-                f"head provides {cell.hidden_size + skip_width}"
-            )
-        self.level = level
-        self.cell = cell
-        self.crf = crf
-        self.skip_width = skip_width
+    level: TagLevel
+    cell: GruCell | None
+    crf: CrfLayer
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         prefix = f"head.{self.level.value}"
@@ -531,10 +555,11 @@ class DBTaggerModel:
     head's emission features.
 
     ``encoder`` holds (parameter prefix, GruCell | BiGruLayer) pairs.
-    ``extra_features``, when given, maps a chunk's sentences to one matrix
-    each of columns appended to the word vectors.  The full model
-    (``build``) is one shared bi-GRU and three heads; the ablation variants
-    drop parts of it.
+    ``extra_features``, when given, is a (width, function) pair: the
+    function maps a chunk's sentences to one (n x width) matrix each of
+    columns appended to the word vectors.  The full model (``build``) is one
+    shared bi-GRU and three heads; the ablation variants drop parts of it.
+    The widths of the layers must chain, or ShapeError is raised.
     """
 
     def __init__(
@@ -550,12 +575,27 @@ class DBTaggerModel:
         ranks = [HEAD_ORDER.index(h.level) for h in heads]
         if not ranks or ranks != sorted(set(ranks)):
             raise ValueError("heads must be ordered POS, TYPE, SCHEMA")
+
+        def check(name: str, takes: int, gets: int):
+            if takes != gets:
+                raise nm.ShapeError(f"{name} takes {takes} inputs, gets {gets}")
+
+        width = embeddings.dimension + (0 if extra_features is None else extra_features[0])
+        for prefix, layer in encoder:
+            check(prefix, layer.input_size, width)
+            width = layer.output_size
+        skip = 0  # the previous head's state width
         for head in heads:
+            states = width if head.cell is None else head.cell.hidden_size
+            if head.cell is not None:
+                check(f"{head.level.value} GRU", head.cell.input_size, width)
+            check(f"{head.level.value} CRF (skip {skip})", head.crf.feature_size, states + skip)
             if vocabs[head.level].size != head.crf.tag_count:
                 raise ValueError(
                     f"{head.level.value} vocabulary size {vocabs[head.level].size} != "
                     f"CRF tag count {head.crf.tag_count}"
                 )
+            skip = states
         self.embeddings = embeddings
         self.encoder = encoder
         self.heads = heads
@@ -575,16 +615,13 @@ class DBTaggerModel:
         dropout_rate: float = 0.5,
         seed: int = 0,
     ) -> "DBTaggerModel":
+        """The full model with freshly drawn parameters."""
         rng = np.random.default_rng(seed)
-        d, u = embeddings.dimension, hidden
-        shared = BiGruLayer(d, u, rng)
-        heads = []
-        for i, level in enumerate(HEAD_ORDER):
-            skip = 0 if i == 0 else u
-            cell = GruCell(2 * u, u, rng)
-            crf = CrfLayer(vocabs[level].size, u + skip, rng)
-            heads.append(TaskHead(level, cell, crf, skip))
-        return cls(embeddings, [("shared", shared)], heads, vocabs, weights, dropout_rate)
+        fresh = {GruCell: fresh_gru, CrfLayer: fresh_crf}
+        return _full_model(
+            embeddings, vocabs, hidden, weights, dropout_rate,
+            lambda kind, prefix, *sizes: fresh[kind](*sizes, rng),
+        )
 
     @property
     def hidden_size(self) -> int:
@@ -604,17 +641,26 @@ class DBTaggerModel:
             + self.embeddings.estimated_bytes()
         )
 
-    # trainable protocol -----------------------------------------------------
-
-    def batch_loss(self, queries: list[AnnotatedQuery], mask_stream: MaskStream | None):
-        return total_loss(self, queries, mask_stream)
-
     def predict_tags(self, sentences: list[list[str]]) -> list[list[str]]:
         """Viterbi tags of the last head for each sentence."""
         return decode(self, sentences, (self.heads[-1].level,))[self.heads[-1].level]
 
-    def gold_tags(self, query: AnnotatedQuery) -> list[str]:
-        return query.tags(self.heads[-1].level)
+
+def _full_model(embeddings, vocabs, hidden, weights, dropout_rate, layer) -> DBTaggerModel:
+    """The full multi-task network: one shared bi-GRU encoder and a GRU+CRF
+    head per level, each head's CRF reading its own GRU's states and the
+    previous head's.  ``layer(kind, prefix, *sizes)`` makes each GruCell
+    (sizes: input, hidden) and CrfLayer (sizes: tags, features), in
+    parameter order, from its parameter name prefix and its sizes."""
+    d, u = embeddings.dimension, hidden
+    shared = BiGruLayer(layer(GruCell, "shared.fwd", d, u), layer(GruCell, "shared.bwd", d, u))
+    heads = []
+    for i, level in enumerate(HEAD_ORDER):
+        prefix = f"head.{level.value}"
+        cell = layer(GruCell, f"{prefix}.gru", 2 * u, u)
+        crf = layer(CrfLayer, f"{prefix}.crf", vocabs[level].size, u if i == 0 else 2 * u)
+        heads.append(TaskHead(level, cell, crf))
+    return DBTaggerModel(embeddings, [("shared", shared)], heads, vocabs, weights, dropout_rate)
 
 
 def _draw_masks(model: DBTaggerModel, stream: MaskStream, count: int):
@@ -623,8 +669,7 @@ def _draw_masks(model: DBTaggerModel, stream: MaskStream, count: int):
     (a bi-directional layer's forward, then backward), then the encoder
     output mask.  Returns per layer a tuple of (u x B) column masks, one per
     direction, and the (B x width) output rows."""
-    last = model.encoder[-1][1]
-    width = last.hidden_size * (2 if isinstance(last, BiGruLayer) else 1)
+    width = model.encoder[-1][1].output_size
     directions = [2 if isinstance(layer, BiGruLayer) else 1 for _, layer in model.encoder]
     drawn = []  # per query: its recurrent masks layer by layer, then its output row
     for _ in range(count):
@@ -667,7 +712,8 @@ def model_forward(
     tape = Tape() if record else None
     inputs = [embed_query(model.embeddings, s) for s in sentences]
     if model.extra_features is not None:
-        inputs = [np.hstack([x, e]) for x, e in zip(inputs, model.extra_features(sentences))]
+        _, features = model.extra_features
+        inputs = [np.hstack([x, e]) for x, e in zip(inputs, features(sentences))]
     X = pack(inputs)
     if train:
         layer_masks, out_rows = _draw_masks(model, mask_stream, len(sentences))
@@ -889,10 +935,10 @@ def save_model(model: DBTaggerModel) -> bytes:
 def load_model(blob: bytes) -> DBTaggerModel:
     """Parse a model file; anything wrong with it raises ModelFormatError.
 
-    The whole file is read before the network is built, and every size the
-    network is built from (hidden, the embedding dimension and each
-    vocabulary size) must match a stored tensor that carries it, so the
-    network allocated is never larger than the file.
+    The whole file is read, then the full network is assembled from the
+    stored arrays themselves: it allocates no parameter, and every size the
+    file declares (hidden, the embedding dimension and each vocabulary size)
+    must agree with the shapes of the arrays.
     """
     reader = _Reader(blob)
     if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
@@ -913,6 +959,8 @@ def load_model(blob: bytes) -> DBTaggerModel:
     vocabs = {}
     for level in HEAD_ORDER:
         symbols = tuple(reader.string() for _ in range(reader.u32()))
+        if not symbols:
+            raise ModelFormatError(f"the {level.value} vocabulary is empty")
         vocabs[level] = TagVocab(level=level, symbols=symbols)
     hidden = reader.u32()
     task_weights = (reader.f64(), reader.f64(), reader.f64())
@@ -928,39 +976,24 @@ def load_model(blob: bytes) -> DBTaggerModel:
             f"trailing bytes after the last parameter ({len(blob) - reader.pos})"
         )
 
-    if hidden < 1:
-        raise ModelFormatError(f"hidden size must be >= 1, got {hidden}")
-    # each size build() allocates by, against a stored tensor that carries it
-    carriers = {
-        "shared.fwd.recurrent": (3 * hidden, hidden),
-        "shared.fwd.input": (3 * hidden, dim),
-    }
-    for level, vocab in vocabs.items():
-        if vocab.size < 1:
-            raise ModelFormatError(f"the {level.value} vocabulary is empty")
-        carriers[f"head.{level.value}.crf.transitions"] = (vocab.size + 2, vocab.size + 2)
-    for name, shape in carriers.items():
+    def take(name: str) -> np.ndarray:
         if name not in stored:
             raise ModelFormatError(f"model file has no parameter {name}")
-        if stored[name].shape != shape:
-            raise ModelFormatError(
-                f"parameter {name} has shape {stored[name].shape}, expected {shape}"
-            )
+        return stored.pop(name)
+
+    def layer(kind, prefix, *_sizes):
+        return kind(*(take(f"{prefix}.{field}") for field in kind.FIELDS))
+
     try:
         embeddings = EmbeddingTable(dim, vectors, bucket_count=buckets, subword_seed=subword_seed)
         weights = TaskWeights(*task_weights)
-        model = DBTaggerModel.build(
-            embeddings, vocabs, hidden=hidden, weights=weights, dropout_rate=dropout_rate, seed=0
-        )
+        model = _full_model(embeddings, vocabs, hidden, weights, dropout_rate, layer)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    expected = model.parameters()
-    if set(stored) != {name for name, _ in expected}:
-        raise ModelFormatError("model file parameter set does not match the architecture")
-    for name, tensor in expected:
-        if stored[name].shape != tensor.data.shape:
-            raise ModelFormatError(
-                f"parameter {name} has shape {stored[name].shape}, expected {tensor.data.shape}"
-            )
-        tensor.data = stored[name]
+    if stored:
+        raise ModelFormatError(f"model file has parameters the network lacks: {sorted(stored)}")
+    if model.hidden_size != hidden:
+        raise ModelFormatError(
+            f"hidden size {hidden} does not match the stored network's {model.hidden_size}"
+        )
     return model

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import Dataset, split_folds
 from .numerics import Tensor, backward
-from .tagger import MaskStream, TaskWeights, chunks
+from .tagger import DBTaggerModel, MaskStream, TaskWeights, chunks, total_loss
 
 
 class TrainingError(RuntimeError):
@@ -110,12 +110,12 @@ def nadam_step(state: NadamState, params: list[Tensor], grads: list[np.ndarray])
         p.data = p.data - NADAM_ALPHA * direction / (np.sqrt(v_hat) + NADAM_EPS)
 
 
-def token_accuracy(trainable, dataset: Dataset) -> float:
-    """Fraction of tokens tagged correctly at the trainable's own level."""
+def token_accuracy(model: DBTaggerModel, dataset: Dataset) -> float:
+    """Fraction of tokens tagged correctly at the level of the last head."""
     correct = total = 0
-    predictions = trainable.predict_tags([q.words for q in dataset.queries])
+    predictions = model.predict_tags([q.words for q in dataset.queries])
     for query, predicted in zip(dataset.queries, predictions):
-        gold = trainable.gold_tags(query)
+        gold = query.tags(model.heads[-1].level)
         correct += sum(1 for p, g in zip(predicted, gold) if p == g)
         total += len(gold)
     return correct / total if total else 1.0
@@ -125,11 +125,11 @@ def _gradients(params: list[Tensor]) -> list[np.ndarray]:
     return [p.grad if p.grad is not None else np.zeros(p.shape) for p in params]
 
 
-def _backward_pass(trainable, chunk, mask_stream, epoch: int) -> list[float]:
+def _backward_pass(model: DBTaggerModel, chunk, mask_stream, epoch: int) -> list[float]:
     """One packed pass over a chunk of queries: add its gradients into the
     grad slots and return each query's loss.  The tape dies on return,
     before the next chunk's forward pass."""
-    loss, values, tape = trainable.batch_loss(chunk, mask_stream)
+    loss, values, tape = total_loss(model, chunk, mask_stream)
     losses = values.tolist()
     for query, value in zip(chunk, losses):
         if not np.isfinite(value):
@@ -141,7 +141,7 @@ def _backward_pass(trainable, chunk, mask_stream, epoch: int) -> list[float]:
 
 
 def train(
-    trainable,
+    model: DBTaggerModel,
     dataset: Dataset,
     config: TrainConfig,
     val: Dataset | None = None,
@@ -154,7 +154,7 @@ def train(
     it) and applies one optimizer step per batch.  ``val_accuracy`` is
     measured on ``val`` when given, else on the training set.
     """
-    params = [t for _, t in trainable.parameters()]
+    params = [t for _, t in model.parameters()]
     shuffle_rng = random.Random(config.seed)
     mask_stream = MaskStream(config.dropout, np.random.default_rng([config.seed, 0xD0]))
     adadelta: AdadeltaState | None = AdadeltaState(params)
@@ -179,7 +179,7 @@ def train(
             for p in params:
                 p.zero_grad()
             for chunk in chunks(order[start : start + config.batch_size]):
-                for value in _backward_pass(trainable, chunk, mask_stream, epoch):
+                for value in _backward_pass(model, chunk, mask_stream, epoch):
                     epoch_loss += value
             # the gradient list dies with the call, so that the next batch's
             # passes do not hold this batch's gradients
@@ -188,7 +188,7 @@ def train(
             else:
                 nadam_step(nadam, params, _gradients(params))
         mean_loss = epoch_loss / len(order)
-        val_acc = token_accuracy(trainable, eval_set)
+        val_acc = token_accuracy(model, eval_set)
         history.append(EpochRecord(epoch=epoch, phase=phase, mean_loss=mean_loss, val_accuracy=val_acc))
         if config.stop_at_accuracy is not None and val_acc >= config.stop_at_accuracy:
             break
@@ -205,10 +205,9 @@ def train(
 
 def thread_count() -> int:
     raw = os.environ.get("DBTAG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"DBTAG_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def cross_validate(

@@ -1,7 +1,8 @@
 """The paper's ablations as configurations of the tagging network
 (``tagger.DBTaggerModel``): a plain CRF over word vectors, single-task
 uni/bi GRU stacks, and the staged multi-task pipeline where each task
-consumes the previous task's predicted tags as one-hot inputs."""
+consumes the previous task's predicted tags as one-hot inputs.  A variant
+is the list of networks ("stages") that are trained in turn."""
 
 from __future__ import annotations
 
@@ -9,23 +10,22 @@ import numpy as np
 
 from .corpus import Dataset, TagLevel, build_tag_vocab
 from .embeddings import EmbeddingTable
-from .numerics import Tensor
 from .schema import Schema, derive_schema_tags
 from .tagger import (
     HEAD_ORDER,
-    BiGruLayer,
-    CrfLayer,
     DBTaggerModel,
-    GruCell,
     TaskHead,
     TaskWeights,
+    fresh_bigru,
+    fresh_crf,
+    fresh_gru,
 )
 
 VARIANTS = ("CRF", "ST_Uni", "ST_Bi", "MT_Seq", "DBTagger")
 
 
 def _single_task(
-    level: TagLevel, vocabs, embeddings, encoder, crf: CrfLayer, dropout_rate, extra_features=None
+    level: TagLevel, vocabs, embeddings, encoder, crf, dropout_rate, extra_features=None
 ) -> DBTaggerModel:
     """The network with one head at ``level`` whose CRF reads the encoder
     output directly; all of the loss weight sits on that head."""
@@ -34,9 +34,12 @@ def _single_task(
     return DBTaggerModel(embeddings, encoder, [head], vocabs, weights, dropout_rate, extra_features)
 
 
-def _one_hot_features(previous, vocab):
-    """Previous-stage predictions as cached one-hot rows, one matrix per
-    sentence of a chunk; the sentences not seen before are decoded together."""
+def _one_hot_features(previous: DBTaggerModel, vocab):
+    """The extra features of an MT_Seq stage: the previous stage's predicted
+    tags as one-hot rows, as a (width, function) pair.  Each sentence's
+    predictions are cached on its first use, so the previous stage must be
+    trained before this stage first runs; the sentences not seen before are
+    decoded together."""
     cache: dict[tuple, np.ndarray] = {}
 
     def extra(sentences: list[list[str]]) -> list[np.ndarray]:
@@ -49,55 +52,7 @@ def _one_hot_features(previous, vocab):
                 cache[key] = mat
         return [cache[tuple(s)] for s in sentences]
 
-    return extra
-
-
-class MtSeqTagger:
-    """Three separately trained stages; each later stage sees word vectors
-    plus the previous stage's predicted tags."""
-
-    def __init__(self, embeddings, vocabs, hidden, dropout_rate):
-        self.embeddings = embeddings
-        self.vocabs = vocabs
-        self.hidden = hidden
-        self.dropout_rate = dropout_rate
-        self.stages: dict[TagLevel, DBTaggerModel] = {}
-
-    def _make_stage(self, level: TagLevel, input_size: int, extra_features, rng) -> DBTaggerModel:
-        u = self.hidden
-        encoder = [("enc0.bi", BiGruLayer(input_size, u, rng)), ("enc1.uni", GruCell(2 * u, u, rng))]
-        crf = CrfLayer(self.vocabs[level].size, u, rng)
-        return _single_task(
-            level, self.vocabs, self.embeddings, encoder, crf, self.dropout_rate, extra_features
-        )
-
-    def fit(self, dataset: Dataset, config, val: Dataset | None = None):
-        from .training import train
-
-        rng = np.random.default_rng(config.seed)
-        d = self.embeddings.dimension
-        history = None
-        previous = None
-        for i, level in enumerate(HEAD_ORDER):
-            if previous is None:
-                extra, width = None, 0
-            else:
-                extra = _one_hot_features(previous, self.vocabs[HEAD_ORDER[i - 1]])
-                width = self.vocabs[HEAD_ORDER[i - 1]].size
-            stage = self._make_stage(level, d + width, extra, rng)
-            history = train(stage, dataset, config, val=val)
-            self.stages[level] = stage
-            previous = stage
-        return history
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        params = []
-        for level, stage in self.stages.items():
-            params += [(f"{level.value}.{n}", t) for n, t in stage.parameters()]
-        return params
-
-    def predict_tags(self, sentences: list[list[str]]) -> list[list[str]]:
-        return self.stages[TagLevel.SCHEMA].predict_tags(sentences)
+    return vocab.size, extra
 
 
 def build_vocabs(dataset: Dataset, schema: Schema | None):
@@ -114,44 +69,48 @@ def build_vocabs(dataset: Dataset, schema: Schema | None):
     return vocabs
 
 
-def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config):
-    """Instantiate an untrained variant; MT_Seq defers stage creation to fit."""
+def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config) -> list[DBTaggerModel]:
+    """The untrained stages of a variant, to be trained in order; the last
+    one tags.  MT_Seq has a POS, a TYPE and a SCHEMA stage, each later one
+    reading word vectors plus the previous stage's predicted tags; the other
+    variants have one stage."""
     u = config.hidden
     d = embeddings.dimension
     rng = np.random.default_rng(config.seed)
     if name == "DBTagger":
-        return DBTaggerModel.build(
-            embeddings,
-            vocabs,
-            hidden=u,
-            weights=config.task_weights(),
-            dropout_rate=config.dropout,
-            seed=config.seed,
-        )
+        weights, rate = config.task_weights(), config.dropout
+        return [DBTaggerModel.build(embeddings, vocabs, u, weights, rate, seed=config.seed)]
     if name == "MT_Seq":
-        return MtSeqTagger(embeddings, vocabs, u, config.dropout)
+        stages, extra = [], None
+        for level in HEAD_ORDER:
+            width = d if extra is None else d + extra[0]
+            bi, uni = fresh_bigru(width, u, rng), fresh_gru(2 * u, u, rng)
+            crf = fresh_crf(vocabs[level].size, u, rng)
+            encoder = [("enc0.bi", bi), ("enc1.uni", uni)]
+            stage = _single_task(level, vocabs, embeddings, encoder, crf, config.dropout, extra)
+            stages.append(stage)
+            extra = _one_hot_features(stage, vocabs[level])
+        return stages
     if name == "CRF":
         encoder, width = [], d
     elif name == "ST_Uni":
-        encoder, width = [("enc0.uni", GruCell(d, u, rng)), ("enc1.uni", GruCell(u, u, rng))], u
+        encoder, width = [("enc0.uni", fresh_gru(d, u, rng)), ("enc1.uni", fresh_gru(u, u, rng))], u
     elif name == "ST_Bi":
-        encoder = [("enc0.bi", BiGruLayer(d, u, rng)), ("enc1.bi", BiGruLayer(2 * u, u, rng))]
+        encoder = [("enc0.bi", fresh_bigru(d, u, rng)), ("enc1.bi", fresh_bigru(2 * u, u, rng))]
         width = 2 * u
     else:
         raise ValueError(f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}")
-    crf = CrfLayer(vocabs[TagLevel.SCHEMA].size, width, rng)
-    return _single_task(TagLevel.SCHEMA, vocabs, embeddings, encoder, crf, config.dropout)
+    crf = fresh_crf(vocabs[TagLevel.SCHEMA].size, width, rng)
+    return [_single_task(TagLevel.SCHEMA, vocabs, embeddings, encoder, crf, config.dropout)]
 
 
 def fit_variant(name, train_ds: Dataset, full_ds: Dataset, schema, embeddings, config):
-    """Build and train one variant; vocabularies come from the full dataset
-    plus schema so fold splits cannot strand tags."""
+    """Build a variant and train its stages in order; returns the last
+    stage.  Vocabularies come from the full dataset plus schema so fold
+    splits cannot strand tags."""
     from .training import train
 
-    vocabs = build_vocabs(full_ds, schema)
-    model = make_variant(name, vocabs, embeddings, config)
-    if isinstance(model, MtSeqTagger):
-        model.fit(train_ds, config)
-    else:
-        train(model, train_ds, config)
-    return model
+    stages = make_variant(name, build_vocabs(full_ds, schema), embeddings, config)
+    for stage in stages:
+        train(stage, train_ds, config)
+    return stages[-1]

@@ -40,6 +40,28 @@ def size_fields(blob: bytes) -> list[tuple[str, int]]:
     return fields
 
 
+def u32s(blob: bytes, offset: int, count: int) -> tuple[int, ...]:
+    return struct.unpack_from(f"<{count}I", blob, offset)
+
+
+def shape_offsets(blob: bytes) -> dict[str, int]:
+    """Offset of each stored parameter's u32 row count (its u32 column
+    count follows), by parameter name, in file order."""
+    fields = size_fields(blob)
+    offsets = {}
+    for (kind, offset), (_, rows) in zip(fields, fields[1:]):
+        if kind == "name length":
+            (length,) = u32s(blob, offset, 1)
+            offsets[blob[offset + 4 : offset + 4 + length].decode()] = rows
+    return offsets
+
+
+def matrix_bytes(rows: list[list[float]]) -> bytes:
+    """A stored matrix: u32 rows, u32 columns, then little-endian f64s."""
+    flat = [v for row in rows for v in row]
+    return struct.pack(f"<II{len(flat)}d", len(rows), len(rows[0]), *flat)
+
+
 def with_u32(blob: bytes, offset: int, value: int) -> bytes:
     return blob[:offset] + struct.pack("<I", value) + blob[offset + 4 :]
 

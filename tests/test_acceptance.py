@@ -23,11 +23,11 @@ from dbtagger.evaluation import MapperFamily, bench_scaling
 from dbtagger.numerics import Tensor
 from dbtagger.schema import load_schema, schema_stats, synthetic_snapshot
 from dbtagger.tagger import (
-    CrfLayer,
     DBTaggerModel,
     TaskWeights,
     crf_log_partition,
     crf_nll,
+    fresh_crf,
     load_model,
     model_forward,
     save_model,
@@ -71,7 +71,7 @@ def test_criterion_1_crf_matches_enumeration():
         for trial in range(200):
             n = int(rng.integers(1, 7))
             k = int(rng.integers(1, 6))
-            crf = CrfLayer(k, 2, rng)
+            crf = fresh_crf(k, 2, rng)
             crf.transitions.data = rng.standard_normal((k + 2, k + 2))
             G = Tensor(rng.standard_normal((n, k)))
             seqs, scores = enumerate_all_scores(G.data, crf.transitions.data, k)

@@ -167,6 +167,17 @@ def test_translate_reports_inaccurate(workdir, capsys):
     assert capsys.readouterr().out.strip() == "INACCURATE: no join path"
 
 
+def test_translate_rejects_an_unknown_type_tag(workdir, capsys):
+    path = workdir / "unknown_type.tsv"
+    path.write_text("movie\tTABLE\tmovie\nby\tO\tO\nNolan\tVALUEX\tpeople.name\n")
+    schema = workdir / "imdb_subset.json"
+    status = run(["translate", "--schema", str(schema), "--tagged", str(path)])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: unknown type tag 'VALUEX' on token 'Nolan'\n"
+
+
 def test_cv_subcommand_tiny(workdir, capsys):
     status = run(
         [
@@ -183,6 +194,27 @@ def test_cv_subcommand_tiny(workdir, capsys):
     assert status == 0
     out = capsys.readouterr().out
     assert "DBTagger\tfold0" in out and "DBTagger\tmean" in out
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+def test_cv_rejects_a_malformed_thread_count(workdir, capsys, monkeypatch, raw):
+    monkeypatch.setenv("DBTAG_THREADS", raw)
+    status = run(
+        [
+            "cv",
+            "--corpus", str(workdir / "fixture_corpus.tsv"),
+            "--schema", str(workdir / "imdb_subset.json"),
+            "--emb", str(workdir / "fixture_embeddings.vec"),
+            "--k", "2",
+            "--hidden", "4",
+            "--epochs", "2",
+            "--switch-epoch", "1",
+        ]
+    )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DBTAG_THREADS") and repr(raw) in captured.err
 
 
 def test_bench_subcommand_small(workdir, capsys):

@@ -69,7 +69,7 @@ def test_table_rejects_unusable_subword_parameters(kwargs):
 
 
 def test_300_dim_subset_fixture():
-    table = load_embeddings(fixture_text("emb300_subset.vec"), expected_dim=300)
+    table = load_embeddings(fixture_text("emb300_subset.vec"))
     assert table.dimension == 300
     assert "movie" in table
 

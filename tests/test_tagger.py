@@ -20,11 +20,15 @@ from dbtagger.tagger import (
     MaskStream,
     ModelFormatError,
     TaggedToken,
+    TaskHead,
     TaskWeights,
     bigru_forward,
     crf_log_partition,
     crf_nll,
     crf_score,
+    fresh_bigru,
+    fresh_crf,
+    fresh_gru,
     gru_sequence,
     load_model,
     merge_value_spans,
@@ -91,7 +95,7 @@ def loss_and_tape(model, query, mask_stream=None):
 
 def random_crf(n, k, seed, feature_size=3):
     rng = RNG(seed)
-    crf = CrfLayer(k, feature_size, rng)
+    crf = fresh_crf(k, feature_size, rng)
     crf.transitions.data = rng.standard_normal((k + 2, k + 2))
     return crf, Tensor(rng.standard_normal((n, k)))
 
@@ -104,7 +108,7 @@ def random_crf(n, k, seed, feature_size=3):
 
 
 def test_gru_step_zero_everything():
-    cell = GruCell(2, 3, RNG(0))
+    cell = fresh_gru(2, 3, RNG(0))
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
     out = gru_sequence(cell, np.ones((1, 2)))
@@ -112,7 +116,7 @@ def test_gru_step_zero_everything():
 
 
 def test_gru_step_candidate_bias_closed_form():
-    cell = GruCell(2, 3, RNG(0))
+    cell = fresh_gru(2, 3, RNG(0))
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
     cell.bias.data[2 * cell.hidden_size :] = 5.0  # the candidate rows
@@ -122,7 +126,7 @@ def test_gru_step_candidate_bias_closed_form():
 
 def test_gru_cell_draws_gate_blocks_in_seeded_order():
     d, u = 4, 3
-    cell = GruCell(d, u, RNG(5))
+    cell = fresh_gru(d, u, RNG(5))
     rng = RNG(5)
     draws = [tagger._glorot(rng, shape) for _ in range(3) for shape in ((u, d), (u, u))]
     for gate in range(3):
@@ -135,14 +139,14 @@ def test_gru_cell_draws_gate_blocks_in_seeded_order():
 
 def test_gru_step_matches_reference_implementation():
     rng = RNG(11)
-    cell = GruCell(4, 5, rng)
+    cell = fresh_gru(4, 5, rng)
     x = rng.standard_normal((4, 1))
     got = gru_sequence(cell, x.T).data.T
     assert np.allclose(got, reference_gru(cell, x, np.zeros((5, 1))), atol=1e-12)
 
 
 def test_gru_step_shape_errors():
-    cell = GruCell(4, 5, RNG(0))
+    cell = fresh_gru(4, 5, RNG(0))
     with pytest.raises(nm.ShapeError):
         gru_sequence(cell, np.zeros((1, 3)))
     with pytest.raises(nm.ShapeError):
@@ -151,7 +155,7 @@ def test_gru_step_shape_errors():
 
 def test_gru_step_gradients_match_fd():
     rng = RNG(12)
-    cell = GruCell(3, 4, rng)
+    cell = fresh_gru(3, 4, rng)
     x = Tensor(rng.standard_normal((1, 3)))
     weights = Tensor(rng.standard_normal((4, 1)))
     params = [x] + [t for _, t in cell.parameters("c")]
@@ -166,7 +170,7 @@ def test_gru_step_gradients_match_fd():
 
 def test_gru_step_recurrent_mask_gradients():
     rng = RNG(13)
-    cell = GruCell(3, 4, rng)
+    cell = fresh_gru(3, 4, rng)
     x = Tensor(rng.standard_normal((1, 3)))
     mask = (rng.random((4, 1)) > 0.5).astype(float) * 2.0
     weights = Tensor(rng.standard_normal((4, 1)))
@@ -184,7 +188,7 @@ def test_gru_step_recurrent_mask_gradients():
 @pytest.mark.parametrize("masked", [False, True])
 def test_gru_sequence_matches_reference_loop(reverse, masked):
     rng = RNG(14)
-    cell = GruCell(3, 4, rng)
+    cell = fresh_gru(3, 4, rng)
     X = rng.standard_normal((6, 3))
     mask = (rng.random((4, 1)) > 0.5) * 2.0 if masked else None
     got = gru_sequence(cell, X, rec_mask=mask, reverse=reverse).data
@@ -198,7 +202,7 @@ def test_gru_sequence_matches_reference_loop(reverse, masked):
 @pytest.mark.parametrize("masked", [False, True])
 def test_gru_sequence_gradients_match_fd(reverse, masked):
     rng = RNG(15)
-    cell = GruCell(3, 4, rng)
+    cell = fresh_gru(3, 4, rng)
     X = Tensor(rng.standard_normal((5, 3)))
     mask = (rng.random((4, 1)) > 0.5) * 2.0 if masked else None
     weights = Tensor(rng.standard_normal((5, 4)))
@@ -215,8 +219,8 @@ def test_gru_sequence_gradients_match_fd(reverse, masked):
 def test_stacked_bigru_passes_gradient_to_first_layer():
     # two stacked layers as in ST_Bi: the second consumes the first's tape output
     rng = RNG(17)
-    first = BiGruLayer(3, 2, rng)
-    second = BiGruLayer(4, 2, rng)
+    first = fresh_bigru(3, 2, rng)
+    second = fresh_bigru(4, 2, rng)
     X = rng.standard_normal((4, 3))
     weights = Tensor(rng.standard_normal((4, 4)))
     masks = (np.array([[2.0], [0.0]]), np.array([[0.0], [2.0]]))
@@ -232,13 +236,13 @@ def test_stacked_bigru_passes_gradient_to_first_layer():
 
 
 def test_bigru_single_token_shape():
-    layer = BiGruLayer(3, 4, RNG(1))
+    layer = fresh_bigru(3, 4, RNG(1))
     H = bigru_forward(layer, np.ones((1, 3)))
     assert H.shape == (1, 8)
 
 
 def test_bigru_zero_weights():
-    layer = BiGruLayer(3, 4, RNG(1))
+    layer = fresh_bigru(3, 4, RNG(1))
     for _, p in layer.parameters("b"):
         p.data[:] = 0.0
     H = bigru_forward(layer, RNG(2).standard_normal((5, 3)))
@@ -247,7 +251,7 @@ def test_bigru_zero_weights():
 
 def test_bigru_reversal_symmetry_with_shared_cells():
     rng = RNG(3)
-    layer = BiGruLayer(3, 4, rng)
+    layer = fresh_bigru(3, 4, rng)
     # make both directions use identical parameters
     for (_, a), (_, b) in zip(
         layer.forward_cell.parameters("f"), layer.backward_cell.parameters("b")
@@ -264,7 +268,7 @@ def test_bigru_reversal_symmetry_with_shared_cells():
 
 def test_bigru_matches_stepwise_evaluation():
     rng = RNG(4)
-    layer = BiGruLayer(2, 3, rng)
+    layer = fresh_bigru(2, 3, rng)
     X = rng.standard_normal((4, 2))
     H = bigru_forward(layer, X).data
     h = np.zeros((3, 1))
@@ -346,7 +350,7 @@ def test_sequence_probabilities_sum_to_one():
 
 def test_crf_nll_single_tag_vocabulary():
     rng = RNG(33)
-    crf = CrfLayer(1, 2, rng)
+    crf = fresh_crf(1, 2, rng)
     crf.transitions.data[:] = 0.0
     G = Tensor(rng.standard_normal((3, 1)))
     assert crf_nll(crf, G, [[0, 0, 0]]).item() == pytest.approx(0.0, abs=1e-12)
@@ -599,7 +603,8 @@ def test_tape_length_does_not_grow_with_query_length(
 @pytest.mark.parametrize("name", ["CRF", "ST_Uni", "ST_Bi"])
 def test_single_head_loss_is_its_crf_nll(name):
     ds, model = tiny_setup()
-    net = variants.make_variant(name, model.vocabs, model.embeddings, TrainConfig(hidden=3, seed=4))
+    config = TrainConfig(hidden=3, seed=4)
+    (net,) = variants.make_variant(name, model.vocabs, model.embeddings, config)
     (head,) = net.heads
     query = ds.queries[0]
     gold = [net.vocabs[head.level].index_of(t) for t in query.tags(head.level)]
@@ -625,7 +630,7 @@ def test_st_bi_train_forward_draws_masks_layer_by_layer(monkeypatch):
     ds, model = tiny_setup()
     u = 3
     words = ds.queries[0].words
-    net = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=u))
+    (net,) = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=u))
     applied = []
     real_dropout = nm.dropout
 
@@ -682,7 +687,7 @@ def test_tag_query_shapes_and_untrained_output():
 def test_decoding_records_no_tape(monkeypatch):
     ds, model = tiny_setup()
     words = ds.queries[0].words
-    stage = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=3))
+    (stage,) = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=3))
     expected = (tag_query(model, words), model.predict_tags([words]), stage.predict_tags([words]))
 
     def no_tape():
@@ -706,6 +711,87 @@ def test_save_load_roundtrip_bit_exact():
     first = model_forward(model, [tokens])[2].data
     second = model_forward(again, [tokens])[2].data
     assert np.array_equal(first, second)
+
+
+def test_load_model_draws_no_random_numbers(monkeypatch):
+    ds, model = tiny_setup(seed=8)
+    blob = save_model(model)
+
+    def no_draw(*args):
+        raise AssertionError("load_model drew fresh parameters")
+
+    for name in ("_glorot", "fresh_gru", "fresh_bigru", "fresh_crf"):
+        monkeypatch.setattr(tagger, name, no_draw)
+    again = load_model(blob)
+    assert save_model(again) == blob
+    for (name_a, a), (name_b, b) in zip(model.parameters(), again.parameters()):
+        assert name_a == name_b and np.array_equal(a.data, b.data)
+
+
+def test_load_model_rejects_each_tensor_reshaped():
+    # same element count, so the file stays well-formed byte for byte
+    _, model = tiny_setup(seed=8)
+    blob = save_model(model)
+    offsets = model_files.shape_offsets(blob)
+    assert list(offsets) == [name for name, _ in model.parameters()] and len(offsets) == 24
+    accepted = []
+    for name, offset in offsets.items():
+        rows, cols = model_files.u32s(blob, offset, 2)
+        shape = (cols, rows) if rows != cols else (1, rows * cols)
+        reshaped = model_files.with_u32(blob, offset, shape[0])
+        reshaped = model_files.with_u32(reshaped, offset + 4, shape[1])
+        try:
+            load_model(reshaped)
+        except ModelFormatError:
+            continue
+        accepted.append(name)
+    assert accepted == []
+
+
+def test_load_model_rejects_a_missing_or_an_extra_parameter():
+    _, model = tiny_setup(seed=8)
+    blob = save_model(model)
+    renamed = blob.replace(b"head.POS.crf.transitions", b"head.POS.crf.transitionz")
+    with pytest.raises(ModelFormatError, match="no parameter head.POS.crf.transitions"):
+        load_model(renamed)
+    fields = dict(model_files.size_fields(blob))
+    extra = model_files.with_u32(blob, fields["parameter count"], 25)
+    extra += b"\x05\0\0\0extra" + model_files.matrix_bytes([[0.0]])
+    with pytest.raises(ModelFormatError, match=r"parameters the network lacks: \['extra'\]"):
+        load_model(extra)
+
+
+def test_layers_and_model_check_the_widths_they_chain():
+    cell = fresh_gru(3, 4, RNG(0))
+    crf = fresh_crf(5, 4, RNG(0))
+    with pytest.raises(nm.ShapeError):
+        GruCell(cell.input.data, cell.recurrent.data[:, :3], cell.bias.data)
+    with pytest.raises(nm.ShapeError):
+        GruCell(cell.input.data, cell.recurrent.data, cell.bias.data.T)
+    with pytest.raises(nm.ShapeError):
+        CrfLayer(crf.emit_weight.data, crf.emit_bias.data[:, :4], crf.transitions.data)
+    with pytest.raises(nm.ShapeError):
+        BiGruLayer(cell, fresh_gru(2, 4, RNG(0)))
+    _, model = tiny_setup(hidden=5)  # embedding width 4, vocabulary sizes 4, 5, 5
+    pos, type_, schema = model.heads
+    encoder = [("shared", model.encoder[0][1])]
+
+    def assemble(encoder, heads, extra_features=None):
+        return DBTaggerModel(
+            model.embeddings, encoder, heads, model.vocabs, model.weights, 0.5, extra_features
+        )
+
+    assemble(encoder, [pos, type_, schema])
+    with pytest.raises(nm.ShapeError, match="shared takes 4 inputs, gets 7"):
+        assemble(encoder, [pos], extra_features=(3, None))
+    with pytest.raises(nm.ShapeError, match="enc1 takes 3 inputs, gets 10"):
+        assemble(encoder + [("enc1", cell)], [pos])
+    with pytest.raises(nm.ShapeError, match="POS GRU takes 10 inputs, gets 4"):
+        assemble([], [pos])
+    with pytest.raises(nm.ShapeError, match=r"SCHEMA CRF \(skip 5\) takes 5 inputs, gets 10"):
+        assemble(encoder, [pos, TaskHead(TagLevel.SCHEMA, schema.cell, fresh_crf(5, 5, RNG(0)))])
+    with pytest.raises(ValueError, match="POS vocabulary size 4 != CRF tag count 5"):
+        assemble(encoder, [TaskHead(TagLevel.POS, pos.cell, fresh_crf(5, 5, RNG(0)))])
 
 
 def test_load_model_rejects_bad_magic():
@@ -883,7 +969,7 @@ def test_chunk_gradient_equals_sum_of_query_gradients(
 
 def test_padded_rows_get_zero_gradient_and_zero_states():
     rng = RNG(60)
-    cell = GruCell(3, 4, rng)
+    cell = fresh_gru(3, 4, rng)
     lengths = [2, 4, 1]
     X = Tensor(rng.standard_normal((4 * 3, 3)))
     pad = np.arange(4)[:, None] >= np.array(lengths)[None, :]
@@ -910,7 +996,7 @@ def test_padded_rows_get_zero_gradient_and_zero_states():
 @pytest.mark.parametrize("reverse", [False, True])
 def test_ragged_masked_chunk_gradients_match_fd(reverse):
     rng = RNG(62)
-    cell = GruCell(3, 4, rng)
+    cell = fresh_gru(3, 4, rng)
     lengths = [3, 5, 1]
     X = Tensor(rng.standard_normal((5 * 3, 3)))
     mask = (rng.random((4, 3)) > 0.4) * 2.0
@@ -956,7 +1042,7 @@ def test_packed_crf_matches_each_query_alone():
 
 
 def test_packed_lengths_must_fit_the_rows():
-    cell = GruCell(3, 4, RNG(0))
+    cell = fresh_gru(3, 4, RNG(0))
     crf, _ = random_crf(1, 3, seed=0)
     with pytest.raises(nm.ShapeError):
         gru_sequence(cell, np.zeros((6, 3)), lengths=[2, 2, 3])
@@ -971,7 +1057,8 @@ def test_packed_lengths_must_fit_the_rows():
 @pytest.mark.parametrize("name", ["DBTagger", "ST_Uni", "ST_Bi"])
 def test_seeded_chunk_draws_the_per_query_dropout_masks(name, monkeypatch):
     ds, base = tiny_setup()
-    net = variants.make_variant(name, base.vocabs, base.embeddings, TrainConfig(hidden=3, seed=2))
+    config = TrainConfig(hidden=3, seed=2)
+    (net,) = variants.make_variant(name, base.vocabs, base.embeddings, config)
     sentences = [q.words for q in ds.queries] * 2
     seen = []
     real_gru, real_dropout = tagger.gru_sequence, nm.dropout

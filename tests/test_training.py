@@ -5,11 +5,10 @@ import weakref
 import numpy as np
 import pytest
 
-from dbtagger import numerics as nm
 from dbtagger import training, variants
 from dbtagger.corpus import Dataset, TagLevel, build_tag_vocab, parse_corpus
 from dbtagger.embeddings import EmbeddingTable
-from dbtagger.numerics import Tape, Tensor
+from dbtagger.numerics import Tensor
 from dbtagger.tagger import DBTaggerModel, TaskWeights
 from dbtagger.training import (
     AdadeltaState,
@@ -182,12 +181,10 @@ def test_seeded_fits_of_each_variant_agree(name, fixture_corpus, imdb_subset, fi
     runs = []
     for _ in range(2):
         vocabs = variants.build_vocabs(fixture_corpus, imdb_subset)
-        model = variants.make_variant(name, vocabs, fixture_embeddings, config)
-        if isinstance(model, variants.MtSeqTagger):
-            history = model.fit(small, config)
-        else:
-            history = train(model, small, config)
-        runs.append((history, model.parameters()))
+        stages = variants.make_variant(name, vocabs, fixture_embeddings, config)
+        history = [train(stage, small, config) for stage in stages]
+        params = [(f"{i}.{n}", t) for i, stage in enumerate(stages) for n, t in stage.parameters()]
+        runs.append((history, params))
     (history_a, params_a), (history_b, params_b) = runs
     assert history_a == history_b
     assert [n for n, _ in params_a] == [n for n, _ in params_b]
@@ -212,29 +209,13 @@ def test_history_lines_format():
     assert lines[2].startswith("2,nadam,")
 
 
-class _NanTrainable:
-    def __init__(self):
-        self.param = Tensor(np.zeros((1, 1)))
-
-    def parameters(self):
-        return [("p", self.param)]
-
-    def batch_loss(self, queries, mask_stream):
-        tape = Tape()
-        loss = nm.scale(Tensor(np.array([[np.nan]])), 1.0, tape)
-        return loss, np.full(len(queries), np.nan), tape
-
-    def predict_tags(self, sentences):
-        return [["O"] * len(tokens) for tokens in sentences]
-
-    def gold_tags(self, query):
-        return query.tags(TagLevel.SCHEMA)
-
-
 def test_non_finite_loss_aborts_with_diagnostics():
     ds = parse_corpus("movie\tNN\tTABLE\tmovie\n")
+    model = _mini_model(ds, hidden=4)
+    crf = model.heads[-1].crf
+    crf.transitions.data[crf.start_index, 0] = np.nan
     with pytest.raises(TrainingError, match="non-finite loss"):
-        train(_NanTrainable(), ds, TrainConfig(hidden=4, epochs=1, switch_epoch=1, seed=0))
+        train(model, ds, TrainConfig(hidden=4, epochs=1, switch_epoch=1, seed=0))
 
 
 def test_cross_validate_twelve_queries(fixture_corpus, imdb_subset, fixture_embeddings):
