@@ -16,13 +16,11 @@ from pathlib import Path
 from . import baselines, corpus, evaluation, schema as schema_mod, translate as translate_mod
 from .corpus import CorpusError, TagLevel, parse_corpus, train_val_split, validate_against_vocab
 from .embeddings import load_embeddings
-from .evaluation import MapperFamily, bench_scaling, render_report, report_as_dict, scaling_csv
+from .evaluation import bench_scaling, render_report, report_as_dict, scaling_csv
 from .schema import load_schema, synthetic_snapshot
 from .tagger import TaggedQuery, load_model, save_model, tag_queries, tag_query
 from .training import TrainConfig, cross_validate, history_lines, train
 from .variants import VARIANTS, build_vocabs, make_variant
-
-DEFAULT_SEED = 13
 
 
 def _read(path: str) -> str:
@@ -40,27 +38,27 @@ def _parse_rows(raw: str) -> list[int]:
     return [int(p) for p in raw.split(",") if p]
 
 
+# TrainConfig fields set by flags of the same name (``--switch-epoch`` for
+# switch_epoch), each defaulting to the field's default; --seed is global.
+_TRAIN_FLAGS = (
+    ("epochs", int),
+    ("switch_epoch", int),
+    ("batch_size", int),
+    ("hidden", int),
+    ("dropout", float),
+    ("weights", _parse_weights),
+    ("patience", int),
+)
+
+
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        dropout=args.dropout,
-        hidden=args.hidden,
-        weights=args.weights,
-        switch_epoch=args.switch_epoch,
-        epochs=args.epochs,
-        seed=args.seed,
-        patience=args.patience,
-    )
+    return TrainConfig(seed=args.seed, **{name: getattr(args, name) for name, _ in _TRAIN_FLAGS})
 
 
 def _add_train_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--epochs", type=int, default=150)
-    parser.add_argument("--switch-epoch", type=int, default=50, dest="switch_epoch")
-    parser.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    parser.add_argument("--hidden", type=int, default=100)
-    parser.add_argument("--dropout", type=float, default=0.5)
-    parser.add_argument("--weights", type=_parse_weights, default=(0.1, 0.2, 0.7))
-    parser.add_argument("--patience", type=int, default=None)
+    for name, kind in _TRAIN_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=kind, default=getattr(TrainConfig, name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dbtagger",
         description="Schema-aware keyword mapping for natural-language database queries.",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--format", choices=("text", "tsv", "json"), default="text")
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit a tagging model and save it")
@@ -217,8 +215,6 @@ def _cmd_bench(args) -> int:
             ["find", "the", "velvet", "raven", "records"],
         ]
 
-    families = []
-
     def build_scan(snapshot):
         def run(tokens: list[str]):
             grams = [
@@ -237,8 +233,7 @@ def _cmd_bench(args) -> int:
 
         return run, index.estimated_bytes()
 
-    families.append(MapperFamily(name="scan", build=build_scan))
-    families.append(MapperFamily(name="inv_index", build=build_index))
+    mappers = [("scan", build_scan), ("inv_index", build_index)]
 
     if args.model:
         model = load_model(Path(args.model).read_bytes())
@@ -246,10 +241,10 @@ def _cmd_bench(args) -> int:
         def build_model(snapshot):
             return (lambda tokens: tag_query(model, tokens)), model.estimated_bytes()
 
-        families.append(MapperFamily(name="tagger", build=build_model))
+        mappers.append(("tagger", build_model))
 
     reports = bench_scaling(
-        families,
+        mappers,
         lambda rows: synthetic_snapshot(db_schema, rows, seed=args.seed),
         args.rows,
         query_lines,
@@ -267,31 +262,23 @@ def _cmd_bench(args) -> int:
 def _cmd_stats(args) -> int:
     db_schema = load_schema(_read(args.schema))
     stats = schema_mod.schema_stats(db_schema, expected_tags=args.expected_tags)
+    rows = [  # (text label, JSON key, value); text omits the None values
+        ("schema", "schema", stats.schema_name),
+        ("entity tables", "entity_tables", stats.entity_tables),
+        ("relation tables", "relation_tables", stats.relation_tables),
+        ("total tables", "total_tables", stats.total_tables),
+        ("total attributes", "total_attributes", stats.total_attributes),
+        ("nonPK-FK attributes", "nonPK_FK_attributes", stats.non_pk_fk_attributes),
+        ("derived tags", "derived_tags", stats.derived_tag_count),
+        ("expected tags", "expected_tags", stats.expected_tag_count),
+        ("WARNING", "warning", stats.warning),
+    ]
     if args.format == "json":
-        payload = {
-            "schema": stats.schema_name,
-            "entity_tables": stats.entity_tables,
-            "relation_tables": stats.relation_tables,
-            "total_tables": stats.total_tables,
-            "total_attributes": stats.total_attributes,
-            "nonPK_FK_attributes": stats.non_pk_fk_attributes,
-            "derived_tags": stats.derived_tag_count,
-            "expected_tags": stats.expected_tag_count,
-            "warning": stats.warning,
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"schema\t{stats.schema_name}")
-    print(f"entity tables\t{stats.entity_tables}")
-    print(f"relation tables\t{stats.relation_tables}")
-    print(f"total tables\t{stats.total_tables}")
-    print(f"total attributes\t{stats.total_attributes}")
-    print(f"nonPK-FK attributes\t{stats.non_pk_fk_attributes}")
-    print(f"derived tags\t{stats.derived_tag_count}")
-    if stats.expected_tag_count is not None:
-        print(f"expected tags\t{stats.expected_tag_count}")
-    if stats.warning:
-        print(f"WARNING\t{stats.warning}")
+        print(json.dumps({key: value for _, key, value in rows}, sort_keys=True))
+    else:
+        for label, _, value in rows:
+            if value is not None:
+                print(f"{label}\t{value}")
     return 0
 
 

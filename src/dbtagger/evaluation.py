@@ -10,7 +10,7 @@ ever asserted ordinally (faster/slower, grows/flat).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from statistics import median
 
 from .corpus import Dataset, RELATION_TYPE_TAGS
@@ -22,6 +22,9 @@ class TagScore:
     recall: float
     f1: float
     support: int
+
+
+RATES = ("token_accuracy", "macro_f1", "relation_accuracy", "nonrelation_accuracy")
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,7 @@ class MetricsReport:
     nonrelation_correct: int = 0
 
     def __post_init__(self):
-        for name in ("token_accuracy", "macro_f1", "relation_accuracy", "nonrelation_accuracy"):
+        for name in RATES:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} = {rate} outside [0, 1]")
@@ -117,18 +120,12 @@ def average_reports(reports: list[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ValueError("no reports to average")
     n = len(reports)
-    return MetricsReport(
-        token_accuracy=sum(r.token_accuracy for r in reports) / n,
-        macro_f1=sum(r.macro_f1 for r in reports) / n,
-        relation_accuracy=sum(r.relation_accuracy for r in reports) / n,
-        nonrelation_accuracy=sum(r.nonrelation_accuracy for r in reports) / n,
-        total_tokens=sum(r.total_tokens for r in reports),
-        correct_tokens=sum(r.correct_tokens for r in reports),
-        relation_tokens=sum(r.relation_tokens for r in reports),
-        relation_correct=sum(r.relation_correct for r in reports),
-        nonrelation_tokens=sum(r.nonrelation_tokens for r in reports),
-        nonrelation_correct=sum(r.nonrelation_correct for r in reports),
-    )
+    totals = {
+        f.name: sum(getattr(r, f.name) for r in reports)
+        for f in fields(MetricsReport)
+        if f.name != "per_tag"
+    }
+    return MetricsReport(**{k: v / n if k in RATES else v for k, v in totals.items()})
 
 
 def render_report(report: MetricsReport, title: str = "metrics") -> str:
@@ -150,23 +147,9 @@ def render_report(report: MetricsReport, title: str = "metrics") -> str:
 
 
 def report_as_dict(report: MetricsReport) -> dict:
-    out = {
-        "token_accuracy": report.token_accuracy,
-        "macro_f1": report.macro_f1,
-        "relation_accuracy": report.relation_accuracy,
-        "nonrelation_accuracy": report.nonrelation_accuracy,
-        "total_tokens": report.total_tokens,
-        "correct_tokens": report.correct_tokens,
-        "relation_tokens": report.relation_tokens,
-        "relation_correct": report.relation_correct,
-        "nonrelation_tokens": report.nonrelation_tokens,
-        "nonrelation_correct": report.nonrelation_correct,
-    }
-    if report.per_tag:
-        out["per_tag"] = {
-            tag: {"precision": s.precision, "recall": s.recall, "f1": s.f1, "support": s.support}
-            for tag, s in report.per_tag.items()
-        }
+    out = asdict(report)
+    if not report.per_tag:
+        del out["per_tag"]
     return out
 
 
@@ -177,40 +160,15 @@ def report_as_dict(report: MetricsReport) -> dict:
 @dataclass(frozen=True)
 class BenchReport:
     mapper: str
-    samples: int
-    min_ms: float
+    rows: int
     median_ms: float
-    p95_ms: float
-    mem_bytes: int = 0
-    rows: int | None = None
-
-    def __post_init__(self):
-        if self.min_ms < 0:
-            raise ValueError("latencies must be non-negative")
+    mem_bytes: int
 
 
-@dataclass(frozen=True)
-class MapperFamily:
-    """A named way to build a per-query mapper from a content snapshot.
-
-    ``build(snapshot)`` returns ``(mapper_fn, mem_bytes)`` where the
-    estimate is structure-size accounting, kept deterministic on purpose.
-    """
-
-    name: str
-    build: object  # Callable[[ContentSnapshot], tuple[Callable, int]]
-
-
-def bench_latency(
-    mapper_fn,
-    queries: list,
-    repetitions: int = 5,
-    name: str = "mapper",
-    mem_bytes: int = 0,
-    rows: int | None = None,
-) -> BenchReport:
-    """Per-call wall-clock distribution of ``mapper_fn`` over the queries,
-    after one untimed warm-up sweep."""
+def bench_latency(mapper_fn, queries: list, repetitions: int) -> float:
+    """Median per-call wall-clock milliseconds of ``mapper_fn`` over the
+    queries, each timed ``repetitions`` times after one untimed warm-up
+    sweep."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for q in queries:
@@ -221,43 +179,24 @@ def bench_latency(
             start = time.perf_counter()
             mapper_fn(q)
             samples.append((time.perf_counter() - start) * 1000.0)
-    ordered = sorted(samples)
-    p95 = ordered[min(len(ordered) - 1, round(0.95 * (len(ordered) - 1)))]
-    return BenchReport(
-        mapper=name,
-        samples=len(samples),
-        min_ms=ordered[0],
-        median_ms=median(samples),
-        p95_ms=p95,
-        mem_bytes=mem_bytes,
-        rows=rows,
-    )
+    return median(samples)
 
 
 def bench_scaling(
-    families: list[MapperFamily],
-    snapshot_generator,
-    row_counts: list[int],
-    queries: list,
-    repetitions: int = 3,
+    mappers: list, snapshot_generator, row_counts: list[int], queries: list, repetitions: int
 ) -> list[BenchReport]:
-    """One report per (row count, mapper family), with the same queries at
-    every size so latencies are comparable across sizes."""
+    """One report per (row count, mapper), with the same queries at every
+    size so latencies are comparable across sizes.  ``mappers`` holds
+    (name, build) pairs: ``build(snapshot)`` returns ``(mapper_fn,
+    mem_bytes)``, the estimate being structure-size accounting, kept
+    deterministic on purpose."""
     reports = []
     for rows in row_counts:
         snapshot = snapshot_generator(rows)
-        for family in families:
-            mapper_fn, mem = family.build(snapshot)
-            reports.append(
-                bench_latency(
-                    mapper_fn,
-                    queries,
-                    repetitions=repetitions,
-                    name=family.name,
-                    mem_bytes=mem,
-                    rows=rows,
-                )
-            )
+        for name, build in mappers:
+            mapper_fn, mem = build(snapshot)
+            median_ms = bench_latency(mapper_fn, queries, repetitions)
+            reports.append(BenchReport(name, rows, median_ms, mem))
     return reports
 
 

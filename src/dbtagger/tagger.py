@@ -487,6 +487,12 @@ def viterbi_decode(crf: CrfLayer, emissions, lengths=None) -> list[tuple[list[in
 # ---------------------------------------------------------------------------
 # model
 
+# The paper's hidden size, (POS, TYPE, SCHEMA) loss weights and dropout
+# rate; ``DBTaggerModel.build`` and ``training.TrainConfig`` default to them.
+DEFAULT_HIDDEN = 100
+DEFAULT_WEIGHTS = (0.1, 0.2, 0.7)
+DEFAULT_DROPOUT = 0.5
+
 
 @dataclass(frozen=True)
 class TaskWeights:
@@ -610,9 +616,9 @@ class DBTaggerModel:
         cls,
         embeddings: EmbeddingTable,
         vocabs: dict[TagLevel, TagVocab],
-        hidden: int = 100,
-        weights: TaskWeights = TaskWeights(0.1, 0.2, 0.7),
-        dropout_rate: float = 0.5,
+        hidden: int = DEFAULT_HIDDEN,
+        weights: TaskWeights = TaskWeights(*DEFAULT_WEIGHTS),
+        dropout_rate: float = DEFAULT_DROPOUT,
         seed: int = 0,
     ) -> "DBTaggerModel":
         """The full model with freshly drawn parameters."""

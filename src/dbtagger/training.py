@@ -12,7 +12,16 @@ import numpy as np
 
 from .corpus import Dataset, split_folds
 from .numerics import Tensor, backward
-from .tagger import DBTaggerModel, MaskStream, TaskWeights, chunks, total_loss
+from .tagger import (
+    DEFAULT_DROPOUT,
+    DEFAULT_HIDDEN,
+    DEFAULT_WEIGHTS,
+    DBTaggerModel,
+    MaskStream,
+    TaskWeights,
+    chunks,
+    total_loss,
+)
 
 
 class TrainingError(RuntimeError):
@@ -22,9 +31,9 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
-    dropout: float = 0.5
-    hidden: int = 100
-    weights: tuple[float, float, float] = (0.1, 0.2, 0.7)
+    dropout: float = DEFAULT_DROPOUT
+    hidden: int = DEFAULT_HIDDEN
+    weights: tuple[float, float, float] = DEFAULT_WEIGHTS
     switch_epoch: int = 50     # last Adadelta epoch
     epochs: int = 150
     seed: int = 13
@@ -151,12 +160,13 @@ def train(
     Epochs 1..switch use Adadelta, the rest Nadam (fresh state at the
     switch).  Each epoch shuffles queries with the seeded stream, batches
     them, sums the query losses over a batch (one packed pass per chunk of
-    it) and applies one optimizer step per batch.  ``val_accuracy`` is
-    measured on ``val`` when given, else on the training set.
+    it) and applies one optimizer step per batch.  Dropout masks are drawn
+    at the model's own rate.  ``val_accuracy`` is measured on ``val`` when
+    given, else on the training set.
     """
     params = [t for _, t in model.parameters()]
     shuffle_rng = random.Random(config.seed)
-    mask_stream = MaskStream(config.dropout, np.random.default_rng([config.seed, 0xD0]))
+    mask_stream = MaskStream(model.dropout_rate, np.random.default_rng([config.seed, 0xD0]))
     adadelta: AdadeltaState | None = AdadeltaState(params)
     nadam: NadamState | None = None
     eval_set = val if val is not None else dataset
@@ -215,7 +225,7 @@ def cross_validate(
     schema,
     embeddings,
     config: TrainConfig,
-    k: int = 6,
+    k: int,
     variant: str = "DBTagger",
 ):
     """Train on k-1 folds and score the held-out fold, k times.

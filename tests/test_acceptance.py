@@ -19,7 +19,7 @@ from dbtagger.baselines import (
 )
 from dbtagger.corpus import Dataset, TagLevel, build_tag_vocab, parse_corpus, serialize
 from dbtagger.embeddings import EmbeddingTable
-from dbtagger.evaluation import MapperFamily, bench_scaling
+from dbtagger.evaluation import bench_scaling
 from dbtagger.numerics import Tensor
 from dbtagger.schema import load_schema, schema_stats, synthetic_snapshot
 from dbtagger.tagger import (
@@ -288,11 +288,7 @@ def test_criterion_8_scaling_behavior(imdb_subset, overfit_model):
             return (lambda tokens: tag_query(model, tokens)), model.estimated_bytes()
 
         reports = bench_scaling(
-            [
-                MapperFamily(name="scan", build=build_scan),
-                MapperFamily(name="inv_index", build=build_index),
-                MapperFamily(name="tagger", build=build_tagger),
-            ],
+            [("scan", build_scan), ("inv_index", build_index), ("tagger", build_tagger)],
             lambda rows: synthetic_snapshot(imdb_subset, rows, seed=1),
             row_counts=[1000, 10000, 100000],
             queries=queries,

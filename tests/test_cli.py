@@ -7,8 +7,11 @@ import pytest
 
 import model_files
 from conftest import FIXTURES
+from dbtagger import cli
 from dbtagger.cli import run
+from dbtagger.evaluation import MetricsReport
 from dbtagger.tagger import DBTaggerModel, load_model, save_model
+from dbtagger.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,38 @@ def test_eval_subcommand(trained_model_path, workdir, capsys):
     assert 0.0 <= payload["token_accuracy"] <= 1.0
 
 
+def test_train_and_cv_flags_default_to_train_config(workdir, monkeypatch, capsys):
+    seen = []
+
+    def fake_train(model, dataset, config, val=None):
+        seen.append(config)
+        return []
+
+    def fake_cross_validate(dataset, schema, embeddings, config, k, variant):
+        seen.append(config)
+        return [], MetricsReport(1.0, 1.0, 1.0, 1.0)
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
+    inputs = [
+        "--corpus", str(workdir / "fixture_corpus.tsv"),
+        "--schema", str(workdir / "imdb_subset.json"),
+        "--emb", str(workdir / "fixture_embeddings.vec"),
+    ]
+    out = ["--out", str(workdir / "untrained.bin")]
+    assert run(["train", *inputs, *out]) == 0
+    assert run(["train", *inputs, *out, "--patience", "2"]) == 0
+    assert run(["cv", *inputs]) == 0
+    assert run(["--seed", "5", "cv", *inputs, "--dropout", "0.25", "--weights", "0,0.5,0.5"]) == 0
+    capsys.readouterr()
+    assert seen == [
+        TrainConfig(),
+        TrainConfig(patience=2),
+        TrainConfig(),
+        TrainConfig(seed=5, dropout=0.25, weights=(0.0, 0.5, 0.5)),
+    ]
+
+
 def test_stats_subcommand_with_warning(capsys):
     status = run(
         ["stats", "--schema", str(FIXTURES / "imdb_full.json"), "--expected-tags", "31"]
@@ -118,6 +153,64 @@ def test_stats_subcommand_with_warning(capsys):
     assert "nonPK-FK attributes\t14" in out
     assert "derived tags\t33" in out
     assert "WARNING" in out and "31" in out
+
+
+IMDB_FULL_WARNING = (
+    "derived tag count 33 differs from the expected count 31; reporting both, not reconciling"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["stats", "--schema", str(FIXTURES / "imdb_full.json"), "--expected-tags", "31"],
+            "schema\timdb\n"
+            "entity tables\t6\n"
+            "relation tables\t11\n"
+            "total tables\t17\n"
+            "total attributes\t55\n"
+            "nonPK-FK attributes\t14\n"
+            "derived tags\t33\n"
+            "expected tags\t31\n"
+            f"WARNING\t{IMDB_FULL_WARNING}\n",
+        ),
+        (
+            ["--format", "json", "stats", "--schema", str(FIXTURES / "imdb_full.json"),
+             "--expected-tags", "31"],
+            '{"derived_tags": 33, "entity_tables": 6, "expected_tags": 31, '
+            '"nonPK_FK_attributes": 14, "relation_tables": 11, "schema": "imdb", '
+            f'"total_attributes": 55, "total_tables": 17, "warning": "{IMDB_FULL_WARNING}"}}\n',
+        ),
+        (
+            ["stats", "--schema", str(FIXTURES / "imdb_subset.json")],
+            "schema\timdb_subset\n"
+            "entity tables\t2\n"
+            "relation tables\t2\n"
+            "total tables\t4\n"
+            "total attributes\t10\n"
+            "nonPK-FK attributes\t4\n"
+            "derived tags\t10\n",
+        ),
+        (
+            ["--format", "json", "stats", "--schema", str(FIXTURES / "imdb_subset.json")],
+            '{"derived_tags": 10, "entity_tables": 2, "expected_tags": null, '
+            '"nonPK_FK_attributes": 4, "relation_tables": 2, "schema": "imdb_subset", '
+            '"total_attributes": 10, "total_tables": 4, "warning": null}\n',
+        ),
+    ],
+    ids=["full-text", "full-json", "subset-text", "subset-json"],
+)
+def test_stats_exact_stdout(capsys, argv, expected):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_format_is_text_or_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--format", "tsv", "stats", "--schema", str(FIXTURES / "imdb_subset.json")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tsv'" in capsys.readouterr().err
 
 
 def test_stats_byte_identical_across_runs(capsys):

@@ -4,13 +4,12 @@ import pytest
 
 from dbtagger.corpus import Dataset, parse_corpus
 from dbtagger.evaluation import (
-    BenchReport,
-    MapperFamily,
     MetricsReport,
     average_reports,
     bench_latency,
     bench_scaling,
     render_report,
+    report_as_dict,
     scaling_csv,
     score,
 )
@@ -121,6 +120,29 @@ def test_average_reports():
     assert mean.total_tokens == 10 and mean.correct_tokens == 7
 
 
+REPORT_KEYS = {
+    "token_accuracy", "macro_f1", "relation_accuracy", "nonrelation_accuracy",
+    "total_tokens", "correct_tokens", "relation_tokens", "relation_correct",
+    "nonrelation_tokens", "nonrelation_correct",
+}
+
+
+def test_report_as_dict_keys_of_a_fold_and_an_averaged_report():
+    gold = _gold(TEN_TOKENS)
+    fold = score([[t.schema_tag for t in gold.queries[0].tokens]], gold)
+    as_dict = report_as_dict(fold)
+    assert set(as_dict) == REPORT_KEYS | {"per_tag"}
+    assert set(as_dict["per_tag"]) == {"COND", "O", "cast.role", "movie", "movie.title"}
+    assert all(
+        set(scores) == {"precision", "recall", "f1", "support"}
+        for scores in as_dict["per_tag"].values()
+    )
+    assert as_dict["per_tag"]["movie"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 2}
+    mean = average_reports([fold, fold])
+    assert set(report_as_dict(mean)) == REPORT_KEYS
+    assert report_as_dict(mean)["total_tokens"] == 20
+
+
 def test_render_report_mentions_macro_choice():
     report = MetricsReport(1.0, 1.0, 1.0, 1.0)
     assert "unweighted mean F1" in render_report(report)
@@ -128,14 +150,16 @@ def test_render_report_mentions_macro_choice():
 
 def test_bench_latency_calibrated_stub():
     delay = 0.004
+    calls = []
 
     def stub(query):
+        calls.append(query)
         time.sleep(delay)
 
-    report = bench_latency(stub, ["q1", "q2"], repetitions=4, name="stub")
-    assert report.samples == 8
-    assert report.median_ms == pytest.approx(delay * 1000, rel=0.5)
-    assert report.min_ms >= delay * 1000 * 0.8
+    median_ms = bench_latency(stub, ["q1", "q2"], repetitions=4)
+    assert len(calls) == 2 + 4 * 2  # one warm-up sweep, then 4 timed sweeps
+    assert median_ms == pytest.approx(delay * 1000, rel=0.5)
+    assert median_ms >= delay * 1000 * 0.8
 
 
 def test_bench_latency_monotone_under_added_delay():
@@ -145,9 +169,7 @@ def test_bench_latency_monotone_under_added_delay():
     def slow(query):
         time.sleep(0.004)
 
-    fast_report = bench_latency(fast, ["q"], repetitions=5)
-    slow_report = bench_latency(slow, ["q"], repetitions=5)
-    assert slow_report.median_ms > fast_report.median_ms
+    assert bench_latency(slow, ["q"], repetitions=5) > bench_latency(fast, ["q"], repetitions=5)
 
 
 def test_bench_scaling_structure():
@@ -158,7 +180,7 @@ def test_bench_scaling_structure():
         return (lambda q: None), snapshot  # snapshot doubles as the size
 
     reports = bench_scaling(
-        [MapperFamily(name="noop", build=family_build)],
+        [("noop", family_build)],
         snapshot_generator=lambda rows: rows * 10,
         row_counts=[10, 100],
         queries=["q"],
@@ -173,24 +195,16 @@ def test_bench_scaling_structure():
     assert lines[1].startswith("10,noop,") and lines[1].endswith(",100")
 
 
-def test_bench_report_rejects_negative_latency():
-    with pytest.raises(ValueError):
-        BenchReport(mapper="x", samples=1, min_ms=-1.0, median_ms=0.0, p95_ms=0.0)
-
-
 def test_trained_tagger_latency_regression_bound(overfit_model, table1_query):
     # first measurement came in around 3-6 ms per 10-token query; pinned
     # here with an order-of-magnitude cushion as a regression bound
     from dbtagger.tagger import tag_query
 
     model, _ = overfit_model
-    report = bench_latency(
-        lambda tokens: tag_query(model, tokens),
-        [table1_query.words],
-        repetitions=5,
-        name="tagger",
+    median_ms = bench_latency(
+        lambda tokens: tag_query(model, tokens), [table1_query.words], repetitions=5
     )
-    assert report.median_ms < 100.0
+    assert median_ms < 100.0
 
 
 def test_bench_latency_rejects_zero_repetitions():

@@ -834,10 +834,11 @@ def test_load_model_checks_sizes_before_building(monkeypatch, case):
     _, model = tiny_setup(seed=8)
     blob = model_files.crafted(save_model(model))[case]
 
-    def build(*args, **kwargs):
-        raise AssertionError("DBTaggerModel.build was reached")
+    def no_draw(*args):
+        raise AssertionError("load_model drew fresh parameters")
 
-    monkeypatch.setattr(DBTaggerModel, "build", build)
+    for name in ("_glorot", "fresh_gru", "fresh_bigru", "fresh_crf"):
+        monkeypatch.setattr(tagger, name, no_draw)
     with pytest.raises(ModelFormatError):
         load_model(blob)
 

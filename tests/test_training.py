@@ -191,6 +191,26 @@ def test_seeded_fits_of_each_variant_agree(name, fixture_corpus, imdb_subset, fi
     assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in zip(params_a, params_b))
 
 
+def test_train_draws_masks_at_the_models_dropout_rate(fixture_corpus):
+    small = Dataset(queries=fixture_corpus.queries[:8], name="small")
+    histories = []
+    for rate in (0.0, 0.5):
+        config = TrainConfig(hidden=8, epochs=3, switch_epoch=2, seed=21, dropout=rate)
+        model = _mini_model(small, hidden=8, seed=21, dropout=0.0)
+        histories.append(train(model, small, config))
+    assert histories[0] == histories[1]
+
+
+def test_patience_stops_after_that_many_epochs_without_a_gain(monkeypatch):
+    scripted = iter([0.5, 0.6, 0.6, 0.6, 0.6, 0.6, 0.7, 0.8])
+    monkeypatch.setattr(training, "token_accuracy", lambda model, dataset: next(scripted))
+    ds = parse_corpus("movie\tNN\tTABLE\tmovie\n")
+    config = TrainConfig(hidden=4, epochs=8, switch_epoch=1, seed=0, patience=2)
+    history = train(_mini_model(ds, hidden=4), ds, config)
+    assert [r.epoch for r in history] == [1, 2, 3, 4, 5]
+    assert [r.val_accuracy for r in history] == [0.5, 0.6, 0.6, 0.6, 0.6]
+
+
 def test_loss_trend_on_fixture(fixture_corpus):
     config = TrainConfig(hidden=16, epochs=20, switch_epoch=10, seed=7)
     model = _mini_model(fixture_corpus, hidden=16, seed=7)
