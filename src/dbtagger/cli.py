@@ -14,13 +14,15 @@ import sys
 from pathlib import Path
 
 from . import baselines, corpus, evaluation, schema as schema_mod, translate as translate_mod
-from .corpus import CorpusError, TagLevel, parse_corpus, train_val_split, validate_against_vocab
+from .corpus import CorpusError, parse_corpus, train_val_split
 from .embeddings import load_embeddings
 from .evaluation import bench_scaling, render_report, report_as_dict, scaling_csv
 from .schema import load_schema, synthetic_snapshot
-from .tagger import TaggedQuery, load_model, save_model, tag_queries, tag_query
-from .training import TrainConfig, cross_validate, history_lines, train
-from .variants import VARIANTS, build_vocabs, make_variant
+from .tagger import (
+    TaggedQuery, TaggedToken, load_model, merge_value_spans, save_model, tag_queries, tag_query,
+)
+from .training import TrainConfig, cross_validate, fit_variant, history_lines
+from .variants import VARIANTS
 
 
 def _read(path: str) -> str:
@@ -56,6 +58,9 @@ def _config_from_args(args) -> TrainConfig:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser):
+    """The inputs read by ``_read_training_inputs`` and the training flags."""
+    for flag in ("--corpus", "--schema", "--emb"):
+        parser.add_argument(flag, required=True)
     for name, kind in _TRAIN_FLAGS:
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, type=kind, default=getattr(TrainConfig, name))
@@ -71,12 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit a tagging model and save it")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--emb", required=True)
+    _add_train_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--history", default=None)
-    _add_train_flags(p)
 
     p = sub.add_parser("tag", help="tag whitespace-tokenized queries, one per line")
     p.add_argument("--model", required=True)
@@ -87,12 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
 
     p = sub.add_parser("cv", help="k-fold cross-validated training and scoring")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--emb", required=True)
+    _add_train_flags(p)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--variant", default="DBTagger", choices=VARIANTS + ("all",))
-    _add_train_flags(p)
 
     p = sub.add_parser("bench", help="latency/memory scaling over synthetic snapshots")
     p.add_argument("--schema", required=True)
@@ -114,19 +113,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_training_inputs(args):
+    """The corpus, schema and embeddings named by --corpus, --schema, --emb."""
+    return (
+        parse_corpus(_read(args.corpus), name=Path(args.corpus).stem),
+        load_schema(_read(args.schema)),
+        load_embeddings(_read(args.emb)),
+    )
+
+
 def _cmd_train(args) -> int:
-    dataset = parse_corpus(_read(args.corpus), name=Path(args.corpus).stem)
-    db_schema = load_schema(_read(args.schema))
-    embeddings = load_embeddings(_read(args.emb))
-    vocabs = build_vocabs(dataset, db_schema)
-    validate_against_vocab(dataset, vocabs[TagLevel.SCHEMA])
+    dataset, db_schema, embeddings = _read_training_inputs(args)
     config = _config_from_args(args)
-    (model,) = make_variant("DBTagger", vocabs, embeddings, config)
     if len(dataset) >= 6:
         train_ds, val_ds = train_val_split(dataset, config.seed)
     else:
         train_ds, val_ds = dataset, None
-    history = train(model, train_ds, config, val=val_ds)
+    model, history = fit_variant(
+        "DBTagger", train_ds, dataset, db_schema, embeddings, config, val=val_ds
+    )
     Path(args.out).write_bytes(save_model(model))
     history_path = args.history or f"{args.out}.history.csv"
     Path(history_path).write_text(history_lines(history), encoding="utf-8")
@@ -178,9 +183,7 @@ def _print_report(report, fmt: str, title: str):
 
 
 def _cmd_cv(args) -> int:
-    dataset = parse_corpus(_read(args.corpus), name=Path(args.corpus).stem)
-    db_schema = load_schema(_read(args.schema))
-    embeddings = load_embeddings(_read(args.emb))
+    dataset, db_schema, embeddings = _read_training_inputs(args)
     config = _config_from_args(args)
     variants = VARIANTS if args.variant == "all" else (args.variant,)
     for variant in variants:
@@ -283,8 +286,6 @@ def _cmd_stats(args) -> int:
 
 
 def _parse_tagged_tsv(text: str) -> TaggedQuery:
-    from .tagger import TaggedToken, merge_value_spans
-
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):

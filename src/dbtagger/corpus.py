@@ -156,20 +156,14 @@ def canonical_schema_tag(raw: str) -> str:
     return raw
 
 
-def parse_corpus(stream, name: str = "corpus") -> Dataset:
+def parse_corpus(text: str, name: str = "corpus") -> Dataset:
     """Parse the tab-separated corpus format into a validated Dataset.
 
-    ``stream`` is a string or any iterable of lines.  Every diagnostic
-    carries the 1-based line number it was raised for.
+    Every diagnostic carries the 1-based line number it was raised for.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
-
     queries: list[AnnotatedQuery] = []
     current: list[Token] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             continue
         if not line.strip():

@@ -111,24 +111,19 @@ def embed_query(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
     return np.stack([embed_token(table, t) for t in tokens])
 
 
-def load_embeddings(stream) -> EmbeddingTable:
+def load_embeddings(text: str) -> EmbeddingTable:
     """Parse the text vector format: ``token v1 ... vd`` per line.
 
     An optional first line ``count dim`` is accepted, as is a
     ``#subword B=<buckets> seed=<u64>`` line pinning the hash parameters.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
-
     bucket_count = DEFAULT_BUCKETS
     subword_seed = DEFAULT_SUBWORD_SEED
     dimension = None
     vectors: dict[str, np.ndarray] = {}
 
     body_started = False
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):

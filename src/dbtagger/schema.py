@@ -101,9 +101,8 @@ def _field(obj, key: str, kind: type, where: str, default=None, required: bool =
     return value
 
 
-def load_schema(stream) -> Schema:
+def load_schema(text: str) -> Schema:
     """Load and validate a schema from its JSON representation."""
-    text = stream if isinstance(stream, str) else stream.read()
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep

@@ -1,6 +1,6 @@
-"""Optimizers and the two-phase training schedule: Adadelta for the first
-phase, a fresh Nadam for the rest.  Runs are fully determined by
-(seed, config, dataset)."""
+"""Optimizers and the two-phase training schedule (Adadelta for the first
+phase, a fresh Nadam for the rest), fitting a variant's stages and k-fold
+cross-validation.  Runs are fully determined by (seed, config, dataset)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, split_folds
+from .corpus import Dataset, TagLevel, split_folds, validate_against_vocab
+from .evaluation import average_reports, score
 from .numerics import Tensor, backward
 from .tagger import (
     DEFAULT_DROPOUT,
@@ -22,6 +23,7 @@ from .tagger import (
     chunks,
     total_loss,
 )
+from .variants import build_vocabs, make_variant
 
 
 class TrainingError(RuntimeError):
@@ -49,6 +51,8 @@ class TrainConfig:
             raise ValueError(
                 f"switch epoch {self.switch_epoch} must lie in 1..{self.epochs}"
             )
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         TaskWeights(*self.weights)  # validates non-negativity and the sum
 
     def task_weights(self) -> TaskWeights:
@@ -213,6 +217,21 @@ def train(
     return history
 
 
+def fit_variant(name, train_ds: Dataset, full_ds: Dataset, schema, embeddings, config, val=None):
+    """Build a variant and train its stages in order, each scored on
+    ``val``; returns the last stage, which tags, and its history.
+
+    The vocabularies come from the full dataset plus the schema, so fold
+    splits cannot strand tags, and a corpus whose schema tags the schema
+    cannot derive is refused with a CorpusError before anything is built.
+    """
+    vocabs = build_vocabs(full_ds, schema)
+    validate_against_vocab(full_ds, vocabs[TagLevel.SCHEMA])
+    for stage in make_variant(name, vocabs, embeddings, config):
+        history = train(stage, train_ds, config, val=val)
+    return stage, history
+
+
 def thread_count() -> int:
     raw = os.environ.get("DBTAG_THREADS", "1")
     if not raw.strip().isdecimal() or int(raw) < 1:
@@ -226,15 +245,13 @@ def cross_validate(
     embeddings,
     config: TrainConfig,
     k: int,
-    variant: str = "DBTagger",
+    variant: str,
 ):
     """Train on k-1 folds and score the held-out fold, k times.
 
     Returns (per-fold MetricsReport list, averaged MetricsReport).  Folds
     share nothing mutable, so they may run in parallel (DBTAG_THREADS).
     """
-    from .evaluation import average_reports
-
     folds = split_folds(dataset, k, config.seed)
     jobs = [
         (variant, train_ds, test_ds, dataset, schema, embeddings, config)
@@ -252,9 +269,6 @@ def cross_validate(
 
 
 def _run_fold(job):
-    from .evaluation import score
-    from .variants import fit_variant
-
     variant, train_ds, test_ds, full_ds, schema, embeddings, config = job
-    predictor = fit_variant(variant, train_ds, full_ds, schema, embeddings, config)
+    predictor, _ = fit_variant(variant, train_ds, full_ds, schema, embeddings, config)
     return score(predictor.predict_tags([q.words for q in test_ds.queries]), test_ds)

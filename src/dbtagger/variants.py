@@ -2,7 +2,8 @@
 (``tagger.DBTaggerModel``): a plain CRF over word vectors, single-task
 uni/bi GRU stacks, and the staged multi-task pipeline where each task
 consumes the previous task's predicted tags as one-hot inputs.  A variant
-is the list of networks ("stages") that are trained in turn."""
+is the list of networks ("stages") that ``training.fit_variant`` trains in
+turn."""
 
 from __future__ import annotations
 
@@ -55,18 +56,14 @@ def _one_hot_features(previous: DBTaggerModel, vocab):
     return vocab.size, extra
 
 
-def build_vocabs(dataset: Dataset, schema: Schema | None):
-    """POS/TYPE vocabularies from the corpus, SCHEMA from the schema when
-    one is attached (so every derivable tag is predictable)."""
-    vocabs = {
+def build_vocabs(dataset: Dataset, schema: Schema):
+    """POS/TYPE vocabularies from the corpus, SCHEMA from the schema (so
+    every derivable tag is predictable)."""
+    return {
         TagLevel.POS: build_tag_vocab(dataset, TagLevel.POS),
         TagLevel.TYPE: build_tag_vocab(dataset, TagLevel.TYPE),
-        TagLevel.SCHEMA: (
-            derive_schema_tags(schema) if schema is not None
-            else build_tag_vocab(dataset, TagLevel.SCHEMA)
-        ),
+        TagLevel.SCHEMA: derive_schema_tags(schema),
     }
-    return vocabs
 
 
 def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config) -> list[DBTaggerModel]:
@@ -102,15 +99,3 @@ def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config) -> list[
         raise ValueError(f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}")
     crf = fresh_crf(vocabs[TagLevel.SCHEMA].size, width, rng)
     return [_single_task(TagLevel.SCHEMA, vocabs, embeddings, encoder, crf, config.dropout)]
-
-
-def fit_variant(name, train_ds: Dataset, full_ds: Dataset, schema, embeddings, config):
-    """Build a variant and train its stages in order; returns the last
-    stage.  Vocabularies come from the full dataset plus schema so fold
-    splits cannot strand tags."""
-    from .training import train
-
-    stages = make_variant(name, build_vocabs(full_ds, schema), embeddings, config)
-    for stage in stages:
-        train(stage, train_ds, config)
-    return stages[-1]

@@ -9,9 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from dbtagger.corpus import parse_corpus
 from dbtagger.embeddings import load_embeddings
 from dbtagger.schema import load_schema, load_snapshot
-from dbtagger.tagger import DBTaggerModel
-from dbtagger.training import TrainConfig, train
-from dbtagger.variants import build_vocabs
+from dbtagger.training import TrainConfig, fit_variant
 
 
 def fixture_text(name: str) -> str:
@@ -66,17 +64,9 @@ def train_fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, seed=13
     """Fit the full model on the bundled corpus with the default
     configuration, stopping once training schema accuracy reaches 1.0."""
     config = TrainConfig(epochs=200, switch_epoch=50, seed=seed, stop_at_accuracy=1.0)
-    vocabs = build_vocabs(fixture_corpus, imdb_subset)
-    model = DBTaggerModel.build(
-        fixture_embeddings,
-        vocabs,
-        hidden=config.hidden,
-        weights=config.task_weights(),
-        dropout_rate=config.dropout,
-        seed=config.seed,
+    return fit_variant(
+        "DBTagger", fixture_corpus, fixture_corpus, imdb_subset, fixture_embeddings, config
     )
-    history = train(model, fixture_corpus, config)
-    return model, history
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,7 @@ from dbtagger.tagger import (
 )
 from dbtagger.training import TrainConfig, cross_validate, train
 from dbtagger.translate import MappingSet, infer_join_path, JoinPathError
+from dbtagger.variants import make_variant
 from oracles import finite_diff_check, random_schema_graph, steiner_min_edges
 from test_baselines import reference_edit_distance
 
@@ -157,10 +158,7 @@ def test_criterion_4_memorization(
         )
         histories = []
         for _ in range(2):
-            model = DBTaggerModel.build(
-                emb, vocabs, hidden=config.hidden, weights=config.task_weights(),
-                dropout_rate=config.dropout, seed=config.seed,
-            )
+            (model,) = make_variant("DBTagger", vocabs, emb, config)
             histories.append(train(model, ds, config))
         assert histories[0][-1].val_accuracy == 1.0
         assert len(histories[0]) <= 500
@@ -352,10 +350,7 @@ def test_criterion_10_determinism_and_roundtrip(
                 {t.text: rng.standard_normal(6) for q in small.queries for t in q.tokens},
             )
             vocabs = {lvl: build_tag_vocab(small, lvl) for lvl in TagLevel}
-            m = DBTaggerModel.build(
-                emb, vocabs, hidden=config.hidden, weights=config.task_weights(),
-                dropout_rate=config.dropout, seed=config.seed,
-            )
+            (m,) = make_variant("DBTagger", vocabs, emb, config)
             histories.append(train(m, small, config))
         assert histories[0] == histories[1]
 

@@ -7,7 +7,7 @@ import pytest
 
 import model_files
 from conftest import FIXTURES
-from dbtagger import cli
+from dbtagger import cli, training
 from dbtagger.cli import run
 from dbtagger.evaluation import MetricsReport
 from dbtagger.tagger import DBTaggerModel, load_model, save_model
@@ -122,7 +122,7 @@ def test_train_and_cv_flags_default_to_train_config(workdir, monkeypatch, capsys
         seen.append(config)
         return [], MetricsReport(1.0, 1.0, 1.0, 1.0)
 
-    monkeypatch.setattr(cli, "train", fake_train)
+    monkeypatch.setattr(training, "train", fake_train)
     monkeypatch.setattr(cli, "cross_validate", fake_cross_validate)
     inputs = [
         "--corpus", str(workdir / "fixture_corpus.tsv"),
@@ -510,6 +510,58 @@ def test_train_rejects_hidden_zero(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "hidden size must be >= 1" in err
     assert not (workdir / "zero.bin").exists()
+
+
+def test_train_rejects_negative_patience(workdir, capsys):
+    status = run(
+        [
+            "train",
+            "--corpus", str(workdir / "fixture_corpus.tsv"),
+            "--schema", str(workdir / "imdb_subset.json"),
+            "--emb", str(workdir / "fixture_embeddings.vec"),
+            "--out", str(workdir / "impatient.bin"),
+            "--patience", "-1",
+        ]
+    )
+    assert status == 1
+    assert capsys.readouterr().err == "error: patience must be >= 0, got -1\n"
+    assert not (workdir / "impatient.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "command, threads",
+    [
+        (["train", "--out", "never.bin"], "1"),
+        (["cv"], "1"),
+        (["cv", "--variant", "all"], "1"),
+        (["cv", "--variant", "all"], "2"),
+    ],
+    ids=["train", "cv", "cv-all", "cv-all-2-workers"],
+)
+def test_train_and_cv_refuse_a_schema_tag_the_schema_cannot_derive(
+    workdir, tmp_path, capsys, monkeypatch, command, threads
+):
+    corpus = tmp_path / "nosuch.tsv"
+    text = (workdir / "fixture_corpus.tsv").read_text(encoding="utf-8")
+    corpus.write_text(text.replace("movie.title", "movie.nosuch"), encoding="utf-8")
+    monkeypatch.setenv("DBTAG_THREADS", threads)
+    monkeypatch.chdir(tmp_path)
+    status = run(
+        [
+            *command,
+            "--corpus", str(corpus),
+            "--schema", str(workdir / "imdb_subset.json"),
+            "--emb", str(workdir / "fixture_embeddings.vec"),
+            "--hidden", "4",
+            "--epochs", "2",
+            "--switch-epoch", "1",
+        ]
+    )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SCHEMA tags not covered by the vocabulary: movie.nosuch\n"
+    assert not (tmp_path / "never.bin").exists()
 
 
 def test_bench_rejects_zero_repetitions(workdir, capsys):

@@ -1,0 +1,55 @@
+"""The package's import structure: every module imports the package
+modules it uses at module top, and the import graph has no cycle, so that
+no module's dependencies are hidden inside a function body."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import dbtagger
+
+PACKAGE = Path(dbtagger.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The dbtagger modules an import statement names; none for the
+    standard library or third-party packages."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name.split(".") for alias in node.names]
+        return [path[1] for path in paths if path[0] == "dbtagger" and len(path) > 1]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    full = f"dbtagger.{node.module or ''}".rstrip(".") if node.level else node.module
+    path = full.split(".")
+    if path[0] != "dbtagger":
+        return []
+    if len(path) > 1:
+        return [path[1]]
+    return [alias.name for alias in node.names if alias.name in MODULES]
+
+
+def _imports(module: str) -> tuple[set[str], list[tuple[str, int]]]:
+    """(every dbtagger module ``module`` imports, the function-level
+    imports of one as (module, line) pairs)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    edges, nested = set(), []
+    for node in ast.walk(tree):
+        edges.update(_imported_modules(node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for inner in ast.walk(node):
+                nested.extend((name, inner.lineno) for name in _imported_modules(inner))
+    return edges, nested
+
+
+def test_no_function_imports_a_package_module():
+    nested = {m: found for m in MODULES if (found := _imports(m)[1])}
+    assert nested == {}
+
+
+def test_the_package_import_graph_has_no_cycle():
+    graph = {m: _imports(m)[0] for m in MODULES}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None

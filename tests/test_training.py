@@ -241,7 +241,9 @@ def test_non_finite_loss_aborts_with_diagnostics():
 def test_cross_validate_twelve_queries(fixture_corpus, imdb_subset, fixture_embeddings):
     ds = Dataset(queries=fixture_corpus.queries[:12], name="twelve")
     config = TrainConfig(hidden=4, epochs=2, switch_epoch=1, seed=2)
-    folds, mean = cross_validate(ds, imdb_subset, fixture_embeddings, config, k=6)
+    folds, mean = cross_validate(
+        ds, imdb_subset, fixture_embeddings, config, k=6, variant="DBTagger"
+    )
     assert len(folds) == 6
     # the six test folds partition the 12 queries, 2 per fold
     assert sum(r.total_tokens for r in folds) == ds.token_count
@@ -253,7 +255,9 @@ def test_cross_validate_symmetry_on_duplicated_query(table1_text, imdb_subset, f
     one = parse_corpus(table1_text).queries[0]
     ds = Dataset(queries=(one,) * 6, name="six-copies")
     config = TrainConfig(hidden=4, epochs=2, switch_epoch=1, seed=4)
-    folds, mean = cross_validate(ds, imdb_subset, fixture_embeddings, config, k=6)
+    folds, mean = cross_validate(
+        ds, imdb_subset, fixture_embeddings, config, k=6, variant="DBTagger"
+    )
     first = folds[0]
     for report in folds[1:]:
         assert report == first
@@ -266,9 +270,13 @@ def test_cv_parallelism_does_not_change_results(
     ds = Dataset(queries=fixture_corpus.queries[:12], name="twelve")
     config = TrainConfig(hidden=4, epochs=2, switch_epoch=1, seed=6)
     monkeypatch.setenv("DBTAG_THREADS", "1")
-    serial, serial_mean = cross_validate(ds, imdb_subset, fixture_embeddings, config, k=6)
+    serial, serial_mean = cross_validate(
+        ds, imdb_subset, fixture_embeddings, config, k=6, variant="DBTagger"
+    )
     monkeypatch.setenv("DBTAG_THREADS", "2")
-    parallel, parallel_mean = cross_validate(ds, imdb_subset, fixture_embeddings, config, k=6)
+    parallel, parallel_mean = cross_validate(
+        ds, imdb_subset, fixture_embeddings, config, k=6, variant="DBTagger"
+    )
     assert serial == parallel
     assert serial_mean == parallel_mean
 
@@ -285,7 +293,7 @@ def test_cv_mean_accuracy_stable_across_seeds(
             hidden=48, epochs=150, switch_epoch=25, seed=seed, stop_at_accuracy=1.0
         )
         _, mean = cross_validate(
-            fixture_corpus, imdb_subset, fixture_embeddings, config, k=6
+            fixture_corpus, imdb_subset, fixture_embeddings, config, k=6, variant="DBTagger"
         )
         means.append(mean.token_accuracy)
     assert abs(means[0] - means[1]) <= 0.02
