@@ -65,10 +65,6 @@ class InvertedValueIndex:
     def lookup(self, phrase: str) -> dict[str, int] | None:
         return self.postings.get(phrase)
 
-    def document_frequency(self, phrase: str) -> int:
-        hit = self.postings.get(phrase)
-        return len(hit) if hit else 0
-
     def tfidf(self, phrase: str, column: str) -> float:
         hit = self.postings.get(phrase)
         if not hit or column not in hit:

@@ -104,10 +104,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.queries)
 
-    @property
-    def token_count(self) -> int:
-        return sum(len(q) for q in self.queries)
-
 
 @dataclass(frozen=True)
 class TagVocab:
@@ -133,9 +129,6 @@ class TagVocab:
             return self._index[symbol]
         except KeyError:
             raise KeyError(f"tag {symbol!r} not in {self.level.value} vocabulary") from None
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
 
     @property
     def _index(self) -> dict[str, int]:

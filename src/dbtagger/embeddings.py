@@ -4,10 +4,12 @@ Lookup order is exact match, lowercase match, then the mean of hashed
 character n-gram bucket vectors (n in [3, 6], FNV-1a over the token padded
 with ``<`` and ``>``).  Bucket vectors are drawn from a per-bucket seeded
 generator so out-of-vocabulary embeddings are reproducible from the file
-alone.
+alone; those of the SUBWORD_MEMO most recently embedded words are memoized.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,6 +17,9 @@ DEFAULT_BUCKETS = 1 << 21
 DEFAULT_SUBWORD_SEED = 101
 NGRAM_MIN = 3
 NGRAM_MAX = 6
+# Unseen words whose sub-word vector is kept: at most about 1 MB of vectors
+# at d = 32 and 10 MB at d = 300.
+SUBWORD_MEMO = 4096
 
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
@@ -44,6 +49,21 @@ def char_ngrams(token: str) -> list[str]:
     return grams
 
 
+@lru_cache(maxsize=SUBWORD_MEMO)
+def subword_vector(subword_seed: int, bucket_count: int, dimension: int, token: str) -> np.ndarray:
+    """Mean of the token's n-gram bucket vectors, read-only.  Module-level,
+    so that an EmbeddingTable holds no cache and pickles as it is."""
+    grams = char_ngrams(token)
+    total = np.zeros(dimension)
+    for gram in grams:
+        bucket = fnv1a(gram.encode("utf-8")) % bucket_count
+        rng = np.random.default_rng([subword_seed, bucket])
+        total += rng.uniform(-1.0 / dimension, 1.0 / dimension, dimension)
+    total /= len(grams)
+    total.flags.writeable = False
+    return total
+
+
 class EmbeddingTable:
     def __init__(
         self,
@@ -62,29 +82,6 @@ class EmbeddingTable:
         self.vectors = vectors
         self.bucket_count = bucket_count
         self.subword_seed = subword_seed
-        self._bucket_cache: dict[int, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def _bucket_vector(self, bucket: int) -> np.ndarray:
-        vec = self._bucket_cache.get(bucket)
-        if vec is None:
-            rng = np.random.default_rng([self.subword_seed, bucket])
-            vec = rng.uniform(-1.0 / self.dimension, 1.0 / self.dimension, self.dimension)
-            self._bucket_cache[bucket] = vec
-        return vec
-
-    def subword_vector(self, token: str) -> np.ndarray:
-        grams = char_ngrams(token)
-        total = np.zeros(self.dimension)
-        for gram in grams:
-            bucket = fnv1a(gram.encode("utf-8")) % self.bucket_count
-            total += self._bucket_vector(bucket)
-        return total / len(grams)
 
     def estimated_bytes(self) -> int:
         stored = sum(len(tok.encode("utf-8")) for tok in self.vectors)
@@ -101,7 +98,7 @@ def embed_token(table: EmbeddingTable, token: str) -> np.ndarray:
     vec = table.vectors.get(token.lower())
     if vec is not None:
         return vec
-    return table.subword_vector(token)
+    return subword_vector(table.subword_seed, table.bucket_count, table.dimension, token)
 
 
 def embed_query(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
@@ -183,13 +180,3 @@ def load_embeddings(text: str) -> EmbeddingTable:
         bucket_count=bucket_count,
         subword_seed=subword_seed,
     )
-
-
-def save_embeddings(table: EmbeddingTable) -> str:
-    """Serialize back to the text format with the subword header pinned."""
-    out = [f"#subword B={table.bucket_count} seed={table.subword_seed}"]
-    out.append(f"{len(table.vectors)} {table.dimension}")
-    for token in table.vectors:
-        comps = " ".join(repr(float(v)) for v in table.vectors[token])
-        out.append(f"{token} {comps}")
-    return "\n".join(out) + "\n"

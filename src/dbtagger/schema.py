@@ -1,11 +1,12 @@
 """Relational schema model: tag vocabulary derivation, statistics, join
-graph construction and offline content snapshots for the baseline mappers.
+graph construction and synthetic content snapshots for the baseline mappers.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 
 from .corpus import TagLevel, TagVocab
@@ -15,8 +16,14 @@ class SchemaError(ValueError):
     pass
 
 
-class SnapshotError(ValueError):
-    pass
+# Table and attribute names appear unquoted in tags (``table.attribute``)
+# and in rendered SQL, so each must be a plain identifier.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_identifier(what: str, name: str) -> None:
+    if not _IDENTIFIER.fullmatch(name):
+        raise SchemaError(f"{what} name {name!r} is not a plain identifier ({_IDENTIFIER.pattern})")
 
 
 @dataclass(frozen=True)
@@ -28,6 +35,7 @@ class Attribute:
     kind: str = "text"  # "text" | "number"
 
     def __post_init__(self):
+        _check_identifier("attribute", self.name)
         if self.is_fk and not self.ref_table:
             raise SchemaError(f"FK attribute {self.name!r} must name its referenced table")
         if self.ref_table and not self.is_fk:
@@ -43,17 +51,12 @@ class Table:
     attributes: tuple[Attribute, ...]
 
     def __post_init__(self):
+        _check_identifier("table", self.name)
         if self.kind not in ("entity", "relation"):
             raise SchemaError(f"table {self.name!r} has unknown kind {self.kind!r}")
         names = [a.name for a in self.attributes]
         if len(names) != len(set(names)):
             raise SchemaError(f"duplicate attribute names in table {self.name!r}")
-
-    def attribute(self, name: str) -> Attribute:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise KeyError(f"table {self.name!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,14 @@ def _field(obj, key: str, kind: type, where: str, default=None, required: bool =
     return value
 
 
+def _build(cls, where: str, **fields):
+    """``cls(**fields)``; a SchemaError it raises names the JSON path ``where``."""
+    try:
+        return cls(**fields)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def load_schema(text: str) -> Schema:
     """Load and validate a schema from its JSON representation."""
     try:
@@ -115,7 +126,9 @@ def load_schema(text: str) -> Schema:
         for j, a in enumerate(_field(t, "attributes", list, where, default=[])):
             at = f"{where}.attributes[{j}]"
             attrs.append(
-                Attribute(
+                _build(
+                    Attribute,
+                    at,
                     name=_field(a, "name", str, at, required=True),
                     is_pk=_field(a, "pk", bool, at, default=False),
                     is_fk=_field(a, "fk", bool, at, default=False),
@@ -124,7 +137,7 @@ def load_schema(text: str) -> Schema:
                 )
             )
         kind = _field(t, "kind", str, where, required=True)
-        tables.append(Table(name=name, kind=kind, attributes=tuple(attrs)))
+        tables.append(_build(Table, where, name=name, kind=kind, attributes=tuple(attrs)))
     return Schema(name=_field(raw, "name", str, "schema", default="schema"), tables=tuple(tables))
 
 
@@ -205,14 +218,8 @@ class SchemaGraph:
                 out.update(pair - {table})
         return sorted(out)
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.edges
-
     def joins_for(self, a: str, b: str) -> tuple[JoinEdge, ...]:
         return self.edges[frozenset((a, b))]
-
-    def edge_pairs(self) -> list[tuple[str, str]]:
-        return sorted(tuple(sorted(pair)) for pair in self.edges)
 
 
 def build_schema_graph(schema: Schema) -> SchemaGraph:
@@ -244,12 +251,6 @@ class ContentSnapshot:
         self.schema = schema
         self._columns = columns
 
-    def row_count(self, table: str) -> int:
-        cols = self._columns.get(table)
-        if not cols:
-            return 0
-        return len(next(iter(cols.values())))
-
     def column(self, table: str, attr: str) -> list[str]:
         return self._columns.get(table, {}).get(attr, [])
 
@@ -267,50 +268,6 @@ class ContentSnapshot:
             for values in cols.values():
                 total += sum(len(v.encode("utf-8")) for v in values) + 8 * len(values)
         return total
-
-
-def load_snapshot(schema: Schema, streams: dict[str, str]) -> ContentSnapshot:
-    """Load per-table TSVs (header = attribute names) into a snapshot.
-
-    Tables without a stream are loaded empty.  Reports header mismatches
-    and ragged rows with their location.
-    """
-    columns: dict[str, dict[str, list[str]]] = {}
-    for table_name, text in streams.items():
-        if table_name not in schema.table_names:
-            raise SnapshotError(f"no table named {table_name!r} in schema {schema.name!r}")
-        table = schema.table(table_name)
-        lines = text.splitlines()
-        if not lines:
-            raise SnapshotError(f"table {table_name!r}: empty snapshot stream")
-        header = lines[0].split("\t")
-        expected = [a.name for a in table.attributes]
-        missing = sorted(set(expected) - set(header))
-        if missing:
-            raise SnapshotError(
-                f"table {table_name!r}: header missing columns: {', '.join(missing)}"
-            )
-        extra = sorted(set(header) - set(expected))
-        if extra:
-            raise SnapshotError(
-                f"table {table_name!r}: header has unknown columns: {', '.join(extra)}"
-            )
-        if len(header) != len(expected):
-            raise SnapshotError(f"table {table_name!r}: header repeats a column")
-        cols: dict[str, list[str]] = {name: [] for name in header}
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise SnapshotError(
-                    f"table {table_name!r} line {lineno}: expected {len(header)} cells, "
-                    f"got {len(cells)}"
-                )
-            for name, cell in zip(header, cells):
-                cols[name].append(cell)
-        columns[table_name] = cols
-    return ContentSnapshot(schema, columns)
 
 
 _WORDS = (
@@ -336,12 +293,3 @@ def synthetic_snapshot(schema: Schema, rows: int, seed: int = 0) -> ContentSnaps
                 ]
         columns[t.name] = cols
     return ContentSnapshot(schema, columns)
-
-
-def synthetic_table_tsv(attribute_names: list[str], rows: int, seed: int = 0) -> str:
-    """One synthetic TSV stream matching the given header, for load tests."""
-    rng = random.Random(seed)
-    out = ["\t".join(attribute_names)]
-    for i in range(rows):
-        out.append("\t".join(f"{rng.choice(_WORDS)}{i}" for _ in attribute_names))
-    return "\n".join(out) + "\n"

@@ -75,10 +75,6 @@ class JoinPath:
     tables: tuple[str, ...]                       # BFS discovery order
     joins: tuple[tuple[str, str, JoinEdge], ...]  # (already-joined, new, FK edge)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.joins)
-
 
 def _connects(graph: SchemaGraph, nodes: tuple[str, ...]) -> bool:
     node_set = set(nodes)

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dbtagger.corpus import parse_corpus
 from dbtagger.embeddings import load_embeddings
-from dbtagger.schema import load_schema, load_snapshot
+from dbtagger.schema import ContentSnapshot, load_schema
 from dbtagger.training import TrainConfig, fit_variant
 
 
@@ -53,11 +53,12 @@ def fixture_embeddings():
 
 @pytest.fixture(scope="session")
 def movie_snapshot(imdb_subset):
-    streams = {
-        name: fixture_text(f"snapshot/{name}.tsv")
-        for name in ("movie", "people", "cast", "written_by")
-    }
-    return load_snapshot(imdb_subset, streams)
+    columns = {}
+    for name in ("movie", "people", "cast", "written_by"):
+        lines = fixture_text(f"snapshot/{name}.tsv").splitlines()
+        header, *rows = [line.split("\t") for line in lines]
+        columns[name] = {attr: [row[i] for row in rows] for i, attr in enumerate(header)}
+    return ContentSnapshot(imdb_subset, columns)
 
 
 def train_fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, seed=13):

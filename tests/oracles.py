@@ -96,6 +96,11 @@ def steiner_min_edges(edges, required):
     return None
 
 
+def edge_pairs(graph):
+    """The graph's edges as sorted (table, table) pairs, in sorted order."""
+    return sorted(tuple(sorted(pair)) for pair in graph.edges)
+
+
 def random_schema_graph(rng, max_tables=8):
     """A random FK schema with <= max_tables tables and its join graph."""
     count = int(rng.integers(2, max_tables + 1))

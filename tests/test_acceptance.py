@@ -38,7 +38,7 @@ from dbtagger.tagger import (
 from dbtagger.training import TrainConfig, cross_validate, train
 from dbtagger.translate import MappingSet, infer_join_path, JoinPathError
 from dbtagger.variants import make_variant
-from oracles import finite_diff_check, random_schema_graph, steiner_min_edges
+from oracles import edge_pairs, finite_diff_check, random_schema_graph, steiner_min_edges
 from test_baselines import reference_edit_distance
 
 RNG = np.random.default_rng
@@ -220,14 +220,14 @@ def test_criterion_7_baseline_rules(imdb_subset):
         # n-gram limit 3: a four-word value indexes no 4-gram
         import json as _json
 
-        from dbtagger.schema import load_schema, load_snapshot
+        from dbtagger.schema import ContentSnapshot, load_schema
 
         raw = {
             "name": "t",
             "tables": [{"name": "m", "kind": "entity", "attributes": [{"name": "v"}]}],
         }
         schema = load_schema(_json.dumps(raw))
-        snapshot = load_snapshot(schema, {"m": "v\nthe full monty show\n"})
+        snapshot = ContentSnapshot(schema, {"m": {"v": ["the full monty show"]}})
         built = build_value_index(snapshot, schema)
         assert "the full monty show" not in built.postings
         assert "full monty show" in built.postings
@@ -235,7 +235,7 @@ def test_criterion_7_baseline_rules(imdb_subset):
         assert max(len(g.split()) for g in grams) == 3
 
         # scan row cap at exactly 2000
-        big = load_snapshot(schema, {"m": "v\n" + "heat\n" * 2600})
+        big = ContentSnapshot(schema, {"m": {"v": ["heat"] * 2600}})
         hits = scan_map(big, [(0, 1, "heat")])
         assert hits[0].score == 2000.0
 
@@ -313,14 +313,14 @@ def test_criterion_9_join_path_optimality():
             nodes = list(graph.nodes)
             k = int(rng.integers(1, min(4, len(nodes)) + 1))
             required = list(rng.choice(nodes, size=k, replace=False))
-            want = steiner_min_edges(graph.edge_pairs(), required)
+            want = steiner_min_edges(edge_pairs(graph), required)
             mappings = MappingSet(
                 tables=frozenset(required), attributes=frozenset(),
                 value_spans=(), conditions=(),
             )
             try:
                 path = infer_join_path(graph, mappings)
-                got = path.edge_count
+                got = len(path.joins)
                 assert set(required) <= set(path.tables)
             except JoinPathError:
                 got = None

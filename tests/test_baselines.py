@@ -16,7 +16,7 @@ from dbtagger.baselines import (
     word_ngrams,
 )
 from dbtagger.embeddings import EmbeddingTable
-from dbtagger.schema import load_schema, load_snapshot
+from dbtagger.schema import ContentSnapshot, load_schema
 
 
 def one_column_snapshot(values, table="movie", attr="title"):
@@ -31,8 +31,8 @@ def one_column_snapshot(values, table="movie", attr="title"):
         ],
     }
     schema = load_schema(json.dumps(raw))
-    body = "".join(f"{i}\t{v}\n" for i, v in enumerate(values))
-    return schema, load_snapshot(schema, {table: f"id\t{attr}\n{body}"})
+    columns = {"id": [str(i) for i in range(len(values))], attr: list(values)}
+    return schema, ContentSnapshot(schema, {table: columns})
 
 
 def test_normalize():
@@ -78,12 +78,12 @@ def test_same_value_two_columns_two_postings():
         ],
     }
     schema = load_schema(json.dumps(raw))
-    snapshot = load_snapshot(
-        schema, {"actor": "name\nMatt Demon\n", "writer": "name\nMatt Demon\n"}
+    snapshot = ContentSnapshot(
+        schema, {"actor": {"name": ["Matt Demon"]}, "writer": {"name": ["Matt Demon"]}}
     )
     index = build_value_index(snapshot, schema)
     assert index.postings["matt demon"] == {"actor.name": 1, "writer.name": 1}
-    assert index.document_frequency("matt demon") == 2
+    assert len(index.lookup("matt demon")) == 2
 
 
 def test_tf_counts_cells_once_each():
@@ -114,9 +114,9 @@ def test_tfidf_biggest_tf_wins():
         ],
     }
     schema = load_schema(json.dumps(raw))
-    actor_rows = "name\n" + "Matt Demon\n" * 5
-    writer_rows = "name\n" + "Matt Demon\n" * 2
-    snapshot = load_snapshot(schema, {"actor": actor_rows, "writer": writer_rows})
+    actor_rows = {"name": ["Matt Demon"] * 5}
+    writer_rows = {"name": ["Matt Demon"] * 2}
+    snapshot = ContentSnapshot(schema, {"actor": actor_rows, "writer": writer_rows})
     index = build_value_index(snapshot, schema)
     results = tfidf_map(index, ["Matt", "Demon"])
     assert len(results) == 1
@@ -280,9 +280,9 @@ def test_scan_map_prefers_more_rows():
         ],
     }
     schema = load_schema(json.dumps(raw))
-    snapshot = load_snapshot(
+    snapshot = ContentSnapshot(
         schema,
-        {"a": "x\n" + "heat wave\n" * 10, "b": "x\n" + "heat\n" * 3},
+        {"a": {"x": ["heat wave"] * 10}, "b": {"x": ["heat"] * 3}},
     )
     results = scan_map(snapshot, [(0, 1, "heat")])
     assert results[0].target == "a.x" and results[0].score == 10.0
@@ -297,9 +297,9 @@ def test_scan_map_row_cap_makes_ties_deterministic():
         ],
     }
     schema = load_schema(json.dumps(raw))
-    snapshot = load_snapshot(
+    snapshot = ContentSnapshot(
         schema,
-        {"a": "x\n" + "heat\n" * 2600, "b": "x\n" + "heat\n" * 2200},
+        {"a": {"x": ["heat"] * 2600}, "b": {"x": ["heat"] * 2200}},
     )
     results = scan_map(snapshot, [(0, 1, "heat")])
     # both columns cap at 2000; the tie resolves lexicographically

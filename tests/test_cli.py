@@ -388,6 +388,20 @@ def test_stats_rejects_malformed_schema(workdir, capsys, raw, message):
     assert captured.err.startswith("error:") and message in captured.err
 
 
+@pytest.mark.parametrize("name", ["", "a.b", "x y", 'q"t', "1a"])
+@pytest.mark.parametrize("where", ["tables[0]", "tables[0].attributes[0]"])
+def test_stats_rejects_a_name_that_is_not_an_identifier(workdir, capsys, where, name):
+    table, attribute = (name, "x") if where == "tables[0]" else ("t", name)
+    raw = {"tables": [{"name": table, "kind": "entity", "attributes": [{"name": attribute}]}]}
+    path = workdir / "bad_name.json"
+    path.write_text(json.dumps(raw))
+    assert run(["stats", "--schema", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where}: ")
+    assert f"name {name!r} is not a plain identifier" in captured.err
+
+
 def test_tag_rejects_model_with_trailing_bytes(trained_model_path, workdir, capsys):
     padded = workdir / "padded.bin"
     padded.write_bytes(trained_model_path.read_bytes() + b"garbage")

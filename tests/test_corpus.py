@@ -82,7 +82,7 @@ def test_build_tag_vocab_table1(table1_text):
     assert vocab.symbols == ("COND", "O", "cast", "cast.role", "movie", "movie.title")
     assert vocab.size == 6
     assert vocab.index_of("cast") == 2
-    assert "movie" in vocab and "people" not in vocab
+    assert "movie" in vocab.symbols and "people" not in vocab.symbols
 
 
 def test_type_vocab_is_subset_of_the_seven(fixture_corpus):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_text
 from dbtagger.embeddings import (
+    SUBWORD_MEMO,
     EmbeddingFormatError,
     EmbeddingTable,
     char_ngrams,
@@ -12,13 +15,13 @@ from dbtagger.embeddings import (
     embed_token,
     fnv1a,
     load_embeddings,
-    save_embeddings,
+    subword_vector,
 )
 
 
 def test_load_two_line_file():
     table = load_embeddings("cat 1 0 0\ndog 0 1 0\n")
-    assert len(table) == 2 and table.dimension == 3
+    assert len(table.vectors) == 2 and table.dimension == 3
     assert np.array_equal(table.vectors["cat"], [1.0, 0.0, 0.0])
 
 
@@ -71,7 +74,7 @@ def test_table_rejects_unusable_subword_parameters(kwargs):
 def test_300_dim_subset_fixture():
     table = load_embeddings(fixture_text("emb300_subset.vec"))
     assert table.dimension == 300
-    assert "movie" in table
+    assert "movie" in table.vectors
 
 
 def test_exact_match_is_bitwise(fixture_embeddings):
@@ -150,11 +153,48 @@ def test_oov_vectors_always_finite(token):
     assert np.all(np.isfinite(vec))
 
 
-def test_save_load_roundtrip(fixture_embeddings):
-    again = load_embeddings(save_embeddings(fixture_embeddings))
-    assert again.dimension == fixture_embeddings.dimension
-    assert again.bucket_count == fixture_embeddings.bucket_count
-    assert again.subword_seed == fixture_embeddings.subword_seed
-    assert set(again.vectors) == set(fixture_embeddings.vectors)
-    for token, vec in fixture_embeddings.vectors.items():
-        assert np.array_equal(again.vectors[token], vec)
+def _subword_oracle(table: EmbeddingTable, token: str) -> np.ndarray:
+    """The sub-word vector drawn afresh: each n-gram bucket from its own
+    ``default_rng([seed, bucket])``, summed in n-gram order."""
+    d = table.dimension
+    grams = char_ngrams(token)
+    total = np.zeros(d)
+    for gram in grams:
+        bucket = fnv1a(gram.encode("utf-8")) % table.bucket_count
+        total += np.random.default_rng([table.subword_seed, bucket]).uniform(-1 / d, 1 / d, d)
+    return total / len(grams)
+
+
+def _random_words(rng, count):
+    letters = list("abcdefghijklmnopqrstuvwxyzÄéß-'")
+    return ["".join(rng.choice(letters, size=rng.integers(1, 13))) for _ in range(count)]
+
+
+def test_subword_memo_matches_fresh_draws_bit_for_bit():
+    tables = [
+        EmbeddingTable(32, {}),
+        EmbeddingTable(7, {}, bucket_count=97, subword_seed=3),
+    ]
+    words = _random_words(np.random.default_rng(41), 150)
+    for word in words + words:  # the second pass reads the memo
+        for table in tables:
+            got = embed_token(table, word)
+            assert np.array_equal(got, _subword_oracle(table, word))
+            assert got.dtype == np.float64 and not got.flags.writeable
+
+
+def test_subword_memo_stays_at_its_bound():
+    table = EmbeddingTable(4, {}, bucket_count=64, subword_seed=11)
+    for i in range(10_000):
+        embed_token(table, f"w{i}")
+    assert subword_vector.cache_info().currsize == SUBWORD_MEMO
+
+
+def test_table_with_embedded_unseen_words_pickles():
+    table = load_embeddings("#subword B=512 seed=3\nmovie 1 2 3\n")
+    words = ["Zorble", "quintessa", "movie", "Movie"]
+    before = [embed_token(table, w) for w in words]
+    again = pickle.loads(pickle.dumps(table))
+    subword_vector.cache_clear()
+    for word, vec in zip(words, before):
+        assert np.array_equal(embed_token(again, word), vec)

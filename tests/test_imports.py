@@ -1,8 +1,11 @@
-"""The package's import structure: every module imports the package
-modules it uses at module top, and the import graph has no cycle, so that
-no module's dependencies are hidden inside a function body."""
+"""The package's structure: every module imports the package modules it
+uses at module top, and the import graph has no cycle, so that no module's
+dependencies are hidden inside a function body; and every module-level
+function and class is named by the program or the benchmark, so that no
+test-only code lives in the package."""
 
 import ast
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -10,6 +13,13 @@ import dbtagger
 
 PACKAGE = Path(dbtagger.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+# Definitions no other code names, each with the reason it stays.
+UNNAMED_BY_DESIGN = {
+    "cli.main": "the console-script entry point, named in pyproject.toml",
+    "corpus.serialize": "the corpus writer that criterion 10's round trip reads back",
+}
 
 
 def _imported_modules(node: ast.AST) -> list[str]:
@@ -53,3 +63,39 @@ def test_the_package_import_graph_has_no_cycle():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def _names(node: ast.AST):
+    """Every identifier ``node`` names: variables, attributes and imports."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            yield inner.id
+        elif isinstance(inner, ast.Attribute):
+            yield inner.attr
+        elif isinstance(inner, ast.alias):
+            yield inner.name.rpartition(".")[2]
+
+
+def test_every_package_definition_is_named_by_the_program_or_the_benchmark():
+    benchmark = sorted(PERFBENCH.glob("*.py"))
+    assert benchmark, f"no benchmark sources under {PERFBENCH}"
+    named = Counter()
+    definitions = []
+    for path in sorted(PACKAGE.glob("*.py")) + benchmark:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named.update(_names(tree))
+        if path.parent == PACKAGE:
+            definitions += [
+                (f"{path.stem}.{node.name}", node)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            ]
+    qualified = {name for name, _ in definitions}
+    assert set(UNNAMED_BY_DESIGN) <= qualified, "an allowlisted definition no longer exists"
+    # a definition that names only itself (recursion) is named nowhere else
+    unnamed = {
+        name
+        for name, node in definitions
+        if named[node.name] == list(_names(node)).count(node.name)
+    }
+    assert unnamed - set(UNNAMED_BY_DESIGN) == set()

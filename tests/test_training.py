@@ -246,7 +246,7 @@ def test_cross_validate_twelve_queries(fixture_corpus, imdb_subset, fixture_embe
     )
     assert len(folds) == 6
     # the six test folds partition the 12 queries, 2 per fold
-    assert sum(r.total_tokens for r in folds) == ds.token_count
+    assert sum(r.total_tokens for r in folds) == sum(len(q) for q in ds.queries)
     assert all(r.total_tokens > 0 for r in folds)
     assert 0.0 <= mean.token_accuracy <= 1.0
 
