@@ -3,28 +3,23 @@ inverted word-n-gram value index, edit-distance matching against schema
 names, embedding cosine similarity, and a capped row scan.
 
 All mappers are pure functions of (index/snapshot, query).  Normalization
-for indexing and lookup is lowercase, punctuation stripped, whitespace
-collapsed.
+for indexing and lookup is ``schema.normalize``: lowercase, punctuation
+stripped, whitespace collapsed.  Cells are normalized once, when the
+snapshot is built; the index and the scan read that normalized copy, and
+only query phrases are normalized here.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, embed_token
-from .schema import ContentSnapshot, Schema
+from .schema import ContentSnapshot, Schema, normalize
 
 NGRAM_LIMIT = 3
 SCAN_ROW_LIMIT = 2000
-
-_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
-
-
-def normalize(text: str) -> str:
-    return " ".join(text.translate(_PUNCT_TABLE).lower().split())
 
 
 def word_ngrams(words: list[str]) -> list[str]:
@@ -36,7 +31,7 @@ def word_ngrams(words: list[str]) -> list[str]:
     return grams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappingResult:
     start: int
     end: int  # exclusive token index
@@ -87,10 +82,10 @@ def build_value_index(snapshot: ContentSnapshot, schema: Schema) -> InvertedValu
     """Index every word n-gram (n <= 3) of every normalized cell value."""
     postings: dict[str, dict[str, int]] = {}
     columns = []
-    for column, values in snapshot.text_columns():
+    for column, text in snapshot.normalized_text():
         columns.append(column)
-        for value in values:
-            words = normalize(value).split()
+        for cell in text.split("\n"):
+            words = cell.split()
             if not words:
                 continue
             for phrase in set(word_ngrams(words)):
@@ -228,6 +223,24 @@ def embedding_similarity_map(
     )
 
 
+def _matching_rows(text: str, needle: str) -> int:
+    """Lines of ``text`` that contain ``needle``, at most ``SCAN_ROW_LIMIT``.
+
+    The needle holds no newline, so each hit lies inside one line; after a
+    hit the search resumes at the next line, which counts every row once.
+    """
+    count = 0
+    at = text.find(needle)
+    while at >= 0:
+        count += 1
+        if count >= SCAN_ROW_LIMIT:
+            break
+        at = text.find("\n", at + len(needle))
+        if at >= 0:
+            at = text.find(needle, at + 1)
+    return count
+
+
 def scan_map(
     snapshot: ContentSnapshot, token_ngrams: list[tuple[int, int, str]]
 ) -> list[MappingResult]:
@@ -240,13 +253,8 @@ def scan_map(
         if not needle:
             continue
         hits: dict[str, int] = {}
-        for column, values in snapshot.text_columns():
-            count = 0
-            for value in values:
-                if needle in normalize(value):
-                    count += 1
-                    if count >= SCAN_ROW_LIMIT:
-                        break
+        for column, text in snapshot.normalized_text():
+            count = _matching_rows(text, needle)
             if count:
                 hits[column] = count
         if hits:

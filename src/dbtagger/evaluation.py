@@ -190,6 +190,8 @@ def bench_scaling(
     (name, build) pairs: ``build(snapshot)`` returns ``(mapper_fn,
     mem_bytes)``, the estimate being structure-size accounting, kept
     deterministic on purpose."""
+    if not row_counts or min(row_counts) < 1:
+        raise ValueError(f"row counts must be >= 1, got {min(row_counts, default='none')}")
     reports = []
     for rows in row_counts:
         snapshot = snapshot_generator(rows)

@@ -1,5 +1,6 @@
 """Relational schema model: tag vocabulary derivation, statistics, join
-graph construction and synthetic content snapshots for the baseline mappers.
+graph construction, and content snapshots (synthetic ones included) with the
+text normalization the baseline mappers share.
 """
 
 from __future__ import annotations
@@ -7,6 +8,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import string
 from dataclasses import dataclass, field
 
 from .corpus import TagLevel, TagVocab
@@ -175,6 +177,8 @@ class SchemaStats:
 
 
 def schema_stats(schema: Schema, expected_tags: int | None = None) -> SchemaStats:
+    if expected_tags is not None and expected_tags < 0:
+        raise SchemaError(f"expected tag count must be >= 0, got {expected_tags}")
     entity = sum(1 for t in schema.tables if t.kind == "entity")
     relation = sum(1 for t in schema.tables if t.kind == "relation")
     total_attrs = sum(len(t.attributes) for t in schema.tables)
@@ -244,12 +248,28 @@ def build_schema_graph(schema: Schema) -> SchemaGraph:
     )
 
 
+_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+
+
+def normalize(text: str) -> str:
+    """Lowercase, punctuation stripped, whitespace collapsed to single spaces."""
+    return " ".join(text.translate(_PUNCT_TABLE).lower().split())
+
+
 class ContentSnapshot:
-    """Offline copy of table contents, stored column-wise as raw strings."""
+    """Offline copy of table contents, stored column-wise as raw strings.
+
+    Each text column's cells are also normalized once, here, and kept
+    joined by newlines: a normalized cell holds no whitespace but single
+    spaces, so every line is one cell and no normalized phrase spans two.
+    """
 
     def __init__(self, schema: Schema, columns: dict[str, dict[str, list[str]]]):
         self.schema = schema
         self._columns = columns
+        self._normalized = {
+            column: "\n".join(map(normalize, values)) for column, values in self.text_columns()
+        }
 
     def column(self, table: str, attr: str) -> list[str]:
         return self._columns.get(table, {}).get(attr, [])
@@ -262,8 +282,13 @@ class ContentSnapshot:
                 if a.kind == "text" and not a.is_pk and not a.is_fk:
                     yield f"{t.name}.{a.name}", self.column(t.name, a.name)
 
+    def normalized_text(self):
+        """Yield (qualified name, normalized cells joined by newlines) in
+        ``text_columns()`` order."""
+        yield from self._normalized.items()
+
     def estimated_bytes(self) -> int:
-        total = 0
+        total = sum(len(text.encode("utf-8")) for text in self._normalized.values())
         for cols in self._columns.values():
             for values in cols.values():
                 total += sum(len(v.encode("utf-8")) for v in values) + 8 * len(values)
@@ -279,14 +304,17 @@ _WORDS = (
 
 def synthetic_snapshot(schema: Schema, rows: int, seed: int = 0) -> ContentSnapshot:
     """Generate a deterministic snapshot with the requested row count per
-    table; used for load and scaling benchmarks."""
+    table; used for load and scaling benchmarks.  Every key and number
+    column holds the row numbers, so they all share one list, which no
+    code writes to."""
     rng = random.Random(seed)
+    row_numbers = [str(i) for i in range(rows)]
     columns: dict[str, dict[str, list[str]]] = {}
     for t in schema.tables:
         cols: dict[str, list[str]] = {}
         for a in t.attributes:
             if a.kind == "number" or a.is_pk or a.is_fk:
-                cols[a.name] = [str(i) for i in range(rows)]
+                cols[a.name] = row_numbers
             else:
                 cols[a.name] = [
                     f"{rng.choice(_WORDS)} {rng.choice(_WORDS)} {i}" for i in range(rows)

@@ -7,6 +7,9 @@ import re
 
 import numpy as np
 
+from dbtagger.baselines import (
+    SCAN_ROW_LIMIT, InvertedValueIndex, MappingResult, normalize, word_ngrams,
+)
 from dbtagger.numerics import Tensor, backward
 from dbtagger.schema import Attribute, Schema, Table, build_schema_graph
 
@@ -133,3 +136,48 @@ _SQL_RE = re.compile(
 def sql_grammar_ok(sql: str) -> bool:
     """Minimal select-join-where grammar check."""
     return _SQL_RE.match(sql) is not None
+
+
+def build_value_index_per_cell(snapshot):
+    """The value index built by normalizing every raw cell on its own."""
+    postings = {}
+    columns = []
+    for column, values in snapshot.text_columns():
+        columns.append(column)
+        for value in values:
+            words = normalize(value).split()
+            if not words:
+                continue
+            for phrase in set(word_ngrams(words)):
+                cols = postings.setdefault(phrase, {})
+                cols[column] = cols.get(column, 0) + 1
+    return InvertedValueIndex(postings, tuple(columns))
+
+
+def scan_map_per_cell(snapshot, token_ngrams):
+    """The row scan that normalizes every raw cell for every n-gram and
+    tests it with ``in``: at most SCAN_ROW_LIMIT rows per column, most
+    rows wins, ties to the smaller column name."""
+    results = []
+    for start, end, phrase in token_ngrams:
+        needle = normalize(phrase)
+        if not needle:
+            continue
+        hits = {}
+        for column, values in snapshot.text_columns():
+            count = 0
+            for value in values:
+                if needle in normalize(value):
+                    count += 1
+                    if count >= SCAN_ROW_LIMIT:
+                        break
+            if count:
+                hits[column] = count
+        if hits:
+            column = min(hits, key=lambda col: (-hits[col], col))
+            results.append(
+                MappingResult(
+                    start=start, end=end, target=column, kind="value", score=float(hits[column])
+                )
+            )
+    return results

@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from dbtagger import baselines, schema as schema_mod
 from dbtagger.baselines import (
+    SCAN_ROW_LIMIT,
     InvertedValueIndex,
     build_value_index,
     cosine_similarity,
@@ -16,7 +21,7 @@ from dbtagger.baselines import (
     word_ngrams,
 )
 from dbtagger.embeddings import EmbeddingTable
-from dbtagger.schema import ContentSnapshot, load_schema
+from dbtagger.schema import Attribute, ContentSnapshot, Schema, Table, load_schema
 
 
 def one_column_snapshot(values, table="movie", attr="title"):
@@ -317,3 +322,120 @@ def test_mappers_are_pure(movie_snapshot, imdb_subset):
     assert tfidf_map(index, tokens) == tfidf_map(index, tokens)
     grams = [(4, 7, "The Truman Show")]
     assert scan_map(movie_snapshot, grams) == scan_map(movie_snapshot, grams)
+
+
+# Cell pieces: mixed case, punctuation, and whitespace that ``normalize``
+# folds into a space ("\n" among them, the separator of the normalized text).
+_PIECES = ("heat", "Heat", "wave", "a", "B", "ab", "-", "!", "'", " ", "\n", "\t", "\x1c", "\x85")
+_cell = st.lists(st.sampled_from(_PIECES), max_size=5).map("".join)
+
+
+@st.composite
+def snapshot_and_grams(draw):
+    """A snapshot of 1-3 text columns (one may hold more than SCAN_ROW_LIMIT
+    matching rows) beside a key column and an attribute with no data, and
+    query n-grams that include the end of one cell joined to the start of
+    the next."""
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = draw(st.lists(_cell, max_size=6))
+        if cells and draw(st.integers(0, 2)) == 0:
+            cells = cells * (SCAN_ROW_LIMIT // len(cells) + 1)
+        columns.append(cells)
+    attributes = [Attribute("id", is_pk=True, kind="number")]
+    attributes += [Attribute(f"c{i}") for i in range(len(columns))] + [Attribute("absent")]
+    schema = Schema("random", (Table("t", "entity", tuple(attributes)),))
+    data = {f"c{i}": cells for i, cells in enumerate(columns)}
+    data["id"] = [str(i) for i in range(max(map(len, columns)))]
+    snapshot = ContentSnapshot(schema, {"t": data})
+
+    phrases = draw(st.lists(_cell, max_size=4))
+    for cells in columns:
+        if len(cells) >= 2:
+            i = draw(st.integers(0, len(cells) - 2))
+            cut_end = draw(st.integers(0, len(cells[i])))
+            cut_start = draw(st.integers(0, len(cells[i + 1])))
+            phrases.append(cells[i][cut_end:] + " " + cells[i + 1][:cut_start])
+        if cells:
+            phrases.append(draw(st.sampled_from(cells)))
+    grams = [(i, i + 1, phrase) for i, phrase in enumerate(phrases)]
+    return schema, snapshot, grams
+
+
+@settings(max_examples=150, deadline=None)
+@given(snapshot_and_grams())
+def test_mappers_match_the_per_cell_oracles(case):
+    schema, snapshot, grams = case
+    assert scan_map(snapshot, grams) == oracles.scan_map_per_cell(snapshot, grams)
+    index = build_value_index(snapshot, schema)
+    want = oracles.build_value_index_per_cell(snapshot)
+    assert index.postings == want.postings
+    assert index.columns == want.columns
+
+
+def test_scan_counts_a_row_holding_the_needle_twice_once():
+    schema, snapshot = one_column_snapshot(["heat heat", "Heat-heat!", "cold", "heat"])
+    [hit] = scan_map(snapshot, [(0, 1, "HEAT")])
+    assert hit.score == 3.0
+
+
+def test_scan_needle_never_spans_two_rows():
+    schema, snapshot = one_column_snapshot(["maple", "grove"])
+    assert scan_map(snapshot, [(0, 2, "maple grove")]) == []
+    assert oracles.scan_map_per_cell(snapshot, [(0, 2, "maple grove")]) == []
+
+
+def test_mappers_match_the_per_cell_oracles_on_the_fixture_snapshot(movie_snapshot, imdb_subset):
+    index = build_value_index(movie_snapshot, imdb_subset)
+    want = oracles.build_value_index_per_cell(movie_snapshot)
+    assert index.postings == want.postings and index.columns == want.columns
+    phrases = sorted(index.postings) + ["who acted in", "Beautiful  Mind!", "e", "??"]
+    grams = [(i, i + 1, phrase) for i, phrase in enumerate(phrases)]
+    got = scan_map(movie_snapshot, grams)
+    assert got == oracles.scan_map_per_cell(movie_snapshot, grams)
+    assert len(got) >= len(index.postings)
+
+
+def test_each_cell_is_normalized_once(monkeypatch):
+    calls = []
+
+    def counting_normalize(text):
+        calls.append(text)
+        return normalize(text)
+
+    monkeypatch.setattr(schema_mod, "normalize", counting_normalize)
+    monkeypatch.setattr(baselines, "normalize", counting_normalize)
+    raw = {
+        "name": "two",
+        "tables": [
+            {
+                "name": "m",
+                "kind": "entity",
+                "attributes": [
+                    {"name": "id", "pk": True, "kind": "number"},
+                    {"name": "title"},
+                    {"name": "year", "kind": "number"},
+                ],
+            },
+            {"name": "p", "kind": "entity", "attributes": [{"name": "name"}]},
+        ],
+    }
+    schema = load_schema(json.dumps(raw))
+    titles = ["Heat", "Heat Wave", "", "The Truman Show"] * 25
+    names = ["Matt Demon", "heat"] * 30
+    snapshot = ContentSnapshot(
+        schema,
+        {
+            "m": {"id": [str(i) for i in range(100)], "title": titles, "year": ["1999"] * 100},
+            "p": {"name": names},
+        },
+    )
+    text_cells = len(titles) + len(names)
+    assert len(calls) == text_cells
+    build_value_index(snapshot, schema)
+    assert len(calls) == text_cells
+    grams = [(0, 1, "heat"), (1, 2, "Wave"), (0, 2, "matt demon")]
+    scans = 5
+    for _ in range(scans):
+        scan_map(snapshot, grams)
+    assert len(calls) == text_cells + scans * len(grams)

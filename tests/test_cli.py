@@ -586,3 +586,47 @@ def test_bench_rejects_zero_repetitions(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "repetitions must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("rows, least", [("-3", "-3"), ("0", "0"), ("20,0", "0"), (",", "none")])
+def test_bench_rejects_a_row_count_below_one(workdir, capsys, rows, least):
+    out_csv = workdir / "never.csv"
+    status = run(
+        ["bench", "--schema", str(workdir / "imdb_subset.json"), "--rows", rows,
+         "--out", str(out_csv)]
+    )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: row counts must be >= 1, got {least}\n"
+    assert not out_csv.exists()
+
+
+def test_stats_rejects_a_negative_expected_tag_count(capsys):
+    status = run(
+        ["stats", "--schema", str(FIXTURES / "imdb_full.json"), "--expected-tags", "-4"]
+    )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected tag count must be >= 0, got -4\n"
+
+
+@pytest.mark.parametrize("command", ["train", "stats"])
+def test_negative_seed_is_refused_naming_the_flag(workdir, capsys, command):
+    args = {
+        "train": [
+            "train",
+            "--corpus", str(workdir / "fixture_corpus.tsv"),
+            "--schema", str(workdir / "imdb_subset.json"),
+            "--emb", str(workdir / "fixture_embeddings.vec"),
+            "--out", str(workdir / "seedless.bin"),
+        ],
+        "stats": ["stats", "--schema", str(workdir / "imdb_subset.json")],
+    }[command]
+    status = run(["--seed", "-1", *args])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert not (workdir / "seedless.bin").exists()
