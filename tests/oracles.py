@@ -8,8 +8,9 @@ import re
 import numpy as np
 
 from dbtagger.baselines import (
-    SCAN_ROW_LIMIT, InvertedValueIndex, MappingResult, normalize, word_ngrams,
+    SCAN_ROW_LIMIT, InvertedValueIndex, MappingResult, edit_distance, normalize, word_ngrams,
 )
+from dbtagger.embeddings import embed_token
 from dbtagger.numerics import Tensor, backward
 from dbtagger.schema import Attribute, Schema, Table, build_schema_graph
 
@@ -181,3 +182,66 @@ def scan_map_per_cell(snapshot, token_ngrams):
                 )
             )
     return results
+
+
+def _name_key(name):
+    return name.lower().replace("_", " ")
+
+
+def edit_distance_relation_map_per_name(token, schema, max_distance, token_index=0):
+    """The edit-distance mapper that compares the token with every table
+    and attribute name: least distance, then shorter name, then smaller
+    name, then smaller target; None past ``max_distance``."""
+    if not token:
+        raise ValueError("cannot match an empty token")
+    needle = _name_key(token)
+    candidates = []
+    for table in schema.tables:
+        candidates.append((table.name, table.name))
+        for attr in table.attributes:
+            candidates.append((attr.name, f"{table.name}.{attr.name}"))
+    best = None
+    for name, target in candidates:
+        distance = edit_distance(needle, _name_key(name))
+        key = (distance, len(name), name, target)
+        if best is None or key < best[0]:
+            best = (key, name, target)
+    if best is None or best[0][0] > max_distance:
+        return None
+    return MappingResult(
+        start=token_index,
+        end=token_index + 1,
+        target=best[2],
+        kind="relation",
+        score=float(best[0][0]),
+    )
+
+
+def cosine_similarity(a, b):
+    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+    if norm == 0.0:
+        return 0.0
+    return float(np.dot(a, b)) / norm
+
+
+def embedding_similarity_map_per_candidate(table, token, candidates, threshold, token_index=0):
+    """The embedding mapper that embeds every candidate as the ``np.mean``
+    of its word vectors and scores it with ``cosine_similarity``."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    vec = embed_token(table, token)
+    best = None
+    for surface, target in candidates:
+        words = _name_key(surface).split()
+        if not words:
+            continue
+        cand_vec = np.mean([embed_token(table, w) for w in words], axis=0)
+        sim = cosine_similarity(vec, cand_vec)
+        key = (-sim, target)
+        if best is None or key < best[0]:
+            best = (key, sim, target)
+    if best is None or best[1] < threshold:
+        return None
+    return MappingResult(
+        start=token_index, end=token_index + 1, target=best[2], kind="relation", score=best[1]
+    )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from dbtagger.baselines import (
     SCAN_ROW_LIMIT,
     InvertedValueIndex,
     build_value_index,
-    cosine_similarity,
     edit_distance,
     edit_distance_relation_map,
     embedding_similarity_map,
@@ -67,6 +67,31 @@ def test_build_value_index_single_row():
     }
     for phrase in index.postings:
         assert index.postings[phrase] == {"movie.title": 1}
+
+
+def test_equal_postings_are_one_read_only_mapping():
+    schema, snapshot = one_column_snapshot(["heat wave", "cold wave", "Heat"])
+    index = build_value_index(snapshot, schema)
+    assert index.postings["heat"] == {"movie.title": 2}
+    assert index.postings["heat"] is index.postings["wave"]
+    assert index.postings["cold"] is index.postings["heat wave"]
+    with pytest.raises(TypeError):
+        index.postings["heat"]["movie.title"] = 1
+    with pytest.raises(TypeError):
+        index.postings["cold"]["other.column"] = 1
+    assert index.postings["cold"] == {"movie.title": 1}
+
+
+def test_value_index_of_a_10k_row_snapshot_stays_under_14_mb(imdb_subset):
+    snapshot = schema_mod.synthetic_snapshot(imdb_subset, 10_000, seed=1)
+    tracemalloc.start()
+    try:
+        index = build_value_index(snapshot, imdb_subset)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 88_122
+    assert kept < 14e6 and peak < 14e6
 
 
 def test_build_value_index_empty_snapshot():
@@ -226,6 +251,57 @@ def test_edit_distance_tie_prefers_shorter_then_lexicographic():
     assert hit.target == "ab"
 
 
+# Name pieces: mixed case and underscores, so that a key differs from its
+# name and short names tie on distance and on length.
+_name = st.text(alphabet="aAbBiI_1", min_size=1, max_size=5).filter(lambda n: not n[0].isdigit())
+
+
+@st.composite
+def schema_and_tokens(draw):
+    """1-3 tables of 0-3 attributes; names repeat across tables, so a
+    table and an attribute, or two attributes, can share a name.  Tokens
+    add "İ", whose lowercase form is two characters long."""
+    table_names = draw(st.lists(_name, min_size=1, max_size=3, unique=True))
+    tables = []
+    for table_name in table_names:
+        attrs = draw(st.lists(st.sampled_from(table_names) | _name, max_size=3, unique=True))
+        tables.append(Table(table_name, "entity", tuple(Attribute(a) for a in attrs)))
+    schema = Schema("random", tuple(tables))
+    names = table_names + [a.name for t in tables for a in t.attributes]
+    token = st.text(alphabet="aAbB_ İ1", min_size=1, max_size=7) | st.sampled_from(names)
+    return schema, draw(st.lists(token, min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_and_tokens(), st.integers(0, 3))
+def test_edit_distance_map_matches_the_per_name_oracle(case, max_distance):
+    schema, tokens = case
+    for i, token in enumerate(tokens):
+        got = edit_distance_relation_map(token, schema, max_distance, token_index=i)
+        assert got == oracles.edit_distance_relation_map_per_name(token, schema, max_distance, i)
+
+
+def test_edit_distance_skips_names_outside_the_length_window(monkeypatch, imdb_subset):
+    calls = []
+
+    def counting_edit_distance(a, b):
+        calls.append((a, b))
+        return edit_distance(a, b)
+
+    monkeypatch.setattr(baselines, "edit_distance", counting_edit_distance)
+    keys = [t.name for t in imdb_subset.tables]
+    keys += [a.name for t in imdb_subset.tables for a in t.attributes]
+    keys = [name.lower().replace("_", " ") for name in keys]
+    for token in ("movie", "written", "Title", "İd", "x", "directed_by_whom"):
+        needle = token.lower().replace("_", " ")
+        for max_distance in range(4):
+            calls.clear()
+            edit_distance_relation_map(token, imdb_subset, max_distance)
+            assert all(a == needle for a, _ in calls)
+            want = [key for key in keys if abs(len(key) - len(needle)) <= max_distance]
+            assert sorted(b for _, b in calls) == sorted(want)
+
+
 def _toy_embeddings():
     vectors = {
         "north": np.array([0.0, 1.0]),
@@ -267,6 +343,46 @@ def test_embedding_similarity_multiword_mean():
     hit = embedding_similarity_map(table, "northeast", [("north east", "t.ne")], threshold=0.9)
     assert hit is not None  # mean of north+east is parallel to northeast
     assert hit.score == pytest.approx(1.0, abs=1e-12)
+
+
+# Embedding words: "zero" has the zero vector; "İ" lowercases to "i̇";
+# "snark" and "Boojum" are not in the table, so they take the sub-word path.
+_VOCAB = ("north", "east", "zero", "twin", "i̇", "id")
+_WORDS = _VOCAB + ("North", "İ", "ID", "snark", "Boojum")
+_component = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+
+
+@st.composite
+def table_and_candidates(draw):
+    """A 3-d table whose vectors repeat (ties on similarity), with
+    candidates of 1-4 words joined by spaces or underscores, surfaces that
+    hold no word, and targets that repeat."""
+    vectors = {w: np.array(draw(st.lists(_component, min_size=3, max_size=3))) for w in _VOCAB}
+    vectors["zero"] = np.zeros(3)
+    vectors["twin"] = vectors["north"].copy()
+    table = EmbeddingTable(3, vectors, bucket_count=64, subword_seed=draw(st.integers(0, 3)))
+    surface = st.builds(
+        lambda words, sep: sep.join(words),
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4),
+        st.sampled_from([" ", "_"]),
+    ) | st.sampled_from(["", "_", " "])
+    target = st.sampled_from(["t.a", "t.b", "u.a", "u"])
+    candidates = draw(st.lists(st.tuples(surface, target), max_size=6))
+    tokens = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4))
+    return table, candidates, tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table_and_candidates(),
+    st.sampled_from([1.0, 0.5]) | st.floats(min_value=1e-9, max_value=1.0),
+)
+def test_embedding_map_matches_the_per_candidate_oracle(case, threshold):
+    table, candidates, tokens = case
+    for i, token in enumerate(tokens):
+        got = embedding_similarity_map(table, token, candidates, threshold, token_index=i)
+        want = oracles.embedding_similarity_map_per_candidate(table, token, candidates, threshold, i)
+        assert got == want
 
 
 def test_scan_map_single_column():
@@ -313,7 +429,7 @@ def test_scan_map_row_cap_makes_ties_deterministic():
 
 
 def test_cosine_zero_vector_is_zero():
-    assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+    assert oracles.cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
 
 
 def test_mappers_are_pure(movie_snapshot, imdb_subset):
