@@ -123,6 +123,10 @@ def _read_training_inputs(args):
 
 
 def _cmd_train(args) -> int:
+    history_path = args.history or f"{args.out}.history.csv"
+    for path in (args.out, history_path):
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {Path(path).parent}")
     dataset, db_schema, embeddings = _read_training_inputs(args)
     config = _config_from_args(args)
     if len(dataset) >= 6:
@@ -133,7 +137,6 @@ def _cmd_train(args) -> int:
         "DBTagger", train_ds, dataset, db_schema, embeddings, config, val=val_ds
     )
     Path(args.out).write_bytes(save_model(model))
-    history_path = args.history or f"{args.out}.history.csv"
     Path(history_path).write_text(history_lines(history), encoding="utf-8")
     print(f"saved model to {args.out} ({len(history)} epochs; history in {history_path})")
     return 0

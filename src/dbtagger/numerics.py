@@ -6,8 +6,9 @@ an execution-ordered list of records, so reversing it is already a valid
 topological order for accumulating vector-Jacobian products.  A tape is
 single-threaded; independent tapes can run concurrently.
 
-Only the primitives the model records live here; the fused GRU, emission
-and CRF records are in ``tagger``.
+Only the primitives the model records live here: the blocked product
+``gemm``, ``concat`` and ``dropout``.  The fused GRU, emission, CRF-loss
+and weighted-loss records are in ``tagger``.
 """
 
 from __future__ import annotations
@@ -151,16 +152,6 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # primitives
 
 
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise sum of two tensors of the same shape."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g, g))
-    return out
-
-
 def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
     """Join tensors of the same height side by side, column blocks in order."""
     if not parts:
@@ -171,21 +162,6 @@ def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
     if tape is not None:
         ends = np.cumsum([p.shape[1] for p in parts])
         tape.record(out, tuple(parts), lambda g: tuple(np.hsplit(g, ends[:-1])))
-    return out
-
-
-def scale(t: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
-    out = Tensor(t.data * factor)
-    if tape is not None:
-        tape.record(out, (t,), lambda g: (g * factor,))
-    return out
-
-
-def sum_all(t: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.array([[t.data.sum()]]))
-    if tape is not None:
-        shape = t.data.shape
-        tape.record(out, (t,), lambda g: (np.full(shape, g[0, 0]),))
     return out
 
 

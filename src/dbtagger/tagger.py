@@ -5,11 +5,12 @@ variant are configurations of this one network.
 
 The network runs over a chunk of queries at once, packed time-major: row
 ``t*B + b`` of every activation holds token t of query b, so activations
-stay rank-2 and one query is the B=1 case.  A whole GRU layer and the CRF
-score/log-partition are each registered on the tape as one fused primitive
-per chunk with a hand-derived vector-Jacobian product (the CRF gradient is
-the classic forward-backward marginal computation); their correctness is
-pinned by finite-difference and enumeration tests.
+stay rank-2 and one query is the B=1 case.  A whole GRU layer, a head's
+emissions, a head's CRF loss and the task-weighted sum of the losses are
+each registered on the tape as one fused primitive per chunk with a
+hand-derived vector-Jacobian product (the CRF loss gradient is the classic
+forward-backward marginals minus the gold-path counts); their correctness
+is pinned by finite-difference and enumeration tests.
 """
 
 from __future__ import annotations
@@ -356,11 +357,11 @@ def _checked(crf: CrfLayer, emissions, lengths):
     return G.reshape(L, B, k), np.asarray(lengths if lengths is not None else [rows])
 
 
-def crf_score(
-    crf: CrfLayer, emissions: Tensor, tags: list[list[int]], tape: Tape | None = None
-) -> Tensor:
+def crf_score(crf: CrfLayer, emissions: Tensor, tags: list[list[int]], path: bool = False):
     """Path score of each query's tag sequence (B x 1): boundary and
-    adjacent transitions plus per-token emissions."""
+    adjacent transitions plus per-token emissions.  With ``path`` it also
+    returns the positions the sequences visit, which ``crf_nll``'s
+    gradient reads."""
     lengths = [len(seq) for seq in tags]
     G3, _ = _checked(crf, emissions, lengths)
     L, B, k = G3.shape
@@ -380,19 +381,7 @@ def crf_score(
     value += np.bincount(query, G[rows, flat], minlength=B)
     value += np.bincount(query[inner], A[flat[inner], flat[inner + 1]], minlength=B)
     out = Tensor(value[:, None])
-    if tape is not None:
-        def vjp(g):
-            w = g[:, 0]
-            dG = np.zeros((L * B, k))
-            dG[rows, flat] = w[query]
-            dA = np.zeros_like(A)
-            np.add.at(dA, (start, flat[first]), w)
-            np.add.at(dA, (flat[last], stop), w)
-            np.add.at(dA, (flat[inner], flat[inner + 1]), w[query[inner]])
-            return (dG, dA)
-
-        tape.record(out, (emissions, crf.transitions), vjp)
-    return out
+    return (out, (rows, flat, query, first, last, inner)) if path else out
 
 
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
@@ -400,61 +389,79 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis=axis)
 
 
-def crf_log_partition(
-    crf: CrfLayer, emissions: Tensor, tape: Tape | None = None, lengths=None
-) -> Tensor:
+def crf_log_partition(crf: CrfLayer, emissions: Tensor, lengths=None, lattice: bool = False):
     """Each query's log sum over all its tag sequences of exp(path score)
-    (B x 1), by the forward algorithm in log space; the gradient is the
-    forward-backward marginals."""
+    (B x 1), by the forward algorithm in log space.  With ``lattice`` it
+    also returns the forward lattice (L x B x k), which ``crf_nll``'s
+    gradient reads."""
     G3, lens = _checked(crf, emissions, lengths)
     L, B, k = G3.shape
     A = crf.transitions.data
-    start, stop = crf.start_index, crf.stop_index
     inner = A[:k, :k]
     alpha = np.empty((L, B, k))
-    alpha[0] = A[start, :k] + G3[0]
+    alpha[0] = A[crf.start_index, :k] + G3[0]
     for t in range(1, L):
         alpha[t] = _lse(alpha[t - 1][:, :, None] + inner, axis=1) + G3[t]
     ends = alpha[lens - 1, np.arange(B)]
-    log_z = _lse(ends + A[:k, stop], axis=1)
-    out = Tensor(log_z[:, None])
-
-    if tape is not None:
-        def vjp(g):
-            w = g[:, 0]
-            # -inf past each query's end makes every padding marginal exp(-inf) = 0
-            beta = np.full((L, B, k), -np.inf)
-            for t in range(L - 1, -1, -1):
-                beta[t, lens - 1 == t] = A[:k, stop]
-                go = np.flatnonzero(lens - 1 > t)
-                if go.size:
-                    nxt = G3[t + 1, go] + beta[t + 1, go]
-                    beta[t, go] = _lse(inner + nxt[:, None, :], axis=2)
-            shifted = alpha - log_z[:, None]
-            unary = np.exp(shifted + beta)
-            dG = (unary * w[:, None]).reshape(L * B, k)
-            dA = np.zeros_like(A)
-            if L > 1:
-                pair = np.exp(
-                    shifted[:-1, :, :, None] + inner + (G3[1:] + beta[1:])[:, :, None, :]
-                )
-                dA[:k, :k] = np.tensordot(w, pair.sum(axis=0), axes=1)
-            dA[start, :k] = w @ unary[0]
-            dA[:k, stop] = w @ unary[lens - 1, np.arange(B)]
-            return (dG, dA)
-
-        tape.record(out, (emissions, crf.transitions), vjp)
-    return out
+    out = Tensor(_lse(ends + A[:k, crf.stop_index], axis=1)[:, None])
+    return (out, alpha) if lattice else out
 
 
 def crf_nll(
     crf: CrfLayer, emissions: Tensor, tags: list[list[int]], tape: Tape | None = None
 ) -> Tensor:
     """Negative log-probability of each query's gold sequence (B x 1);
-    non-negative."""
-    log_z = crf_log_partition(crf, emissions, tape, [len(seq) for seq in tags])
-    gold = crf_score(crf, emissions, tags, tape)
-    return nm.add(log_z, nm.scale(gold, -1.0, tape), tape)
+    non-negative.
+
+    One tape record.  Its gradient is the forward-backward marginals minus
+    the gold-path counts, the pair marginals summed over time one step at a
+    time so that only one (B x k x k) step of them is held.  The record
+    lists the emissions and the transitions twice and hands each the gold
+    term first: a grad slot then sums the two terms in the order that two
+    records of their own would."""
+    lengths = [len(seq) for seq in tags]
+    log_z, alpha = crf_log_partition(crf, emissions, lengths, lattice=True)
+    gold, (rows, flat, query, first, last, inner_pos) = crf_score(crf, emissions, tags, path=True)
+    out = Tensor(log_z.data - gold.data)
+    if tape is None:
+        return out
+    G3, lens = _checked(crf, emissions, lengths)
+    L, B, k = G3.shape
+    A = crf.transitions.data
+    start, stop = crf.start_index, crf.stop_index
+    inner = A[:k, :k]
+
+    def vjp(g):
+        w = g[:, 0]
+        dG_gold, dA_gold = np.zeros((L * B, k)), np.zeros_like(A)
+        dG_gold[rows, flat] = -w[query]
+        np.add.at(dA_gold, (start, flat[first]), -w)
+        np.add.at(dA_gold, (flat[last], stop), -w)
+        np.add.at(dA_gold, (flat[inner_pos], flat[inner_pos + 1]), -w[query[inner_pos]])
+        # -inf past each query's end makes every padding marginal exp(-inf) = 0
+        beta = np.full((L, B, k), -np.inf)
+        for t in range(L - 1, -1, -1):
+            beta[t, lens - 1 == t] = A[:k, stop]
+            go = np.flatnonzero(lens - 1 > t)
+            if go.size:
+                nxt = G3[t + 1, go] + beta[t + 1, go]
+                beta[t, go] = _lse(inner + nxt[:, None, :], axis=2)
+        shifted = alpha - log_z.data
+        unary = np.exp(shifted + beta)
+        dA = np.zeros_like(A)
+        if L > 1:
+            after, pairs = G3[1:] + beta[1:], np.zeros((B, k, k))
+            for t in range(L - 1):
+                pair = shifted[t, :, :, None] + inner
+                pair += after[t, :, None, :]
+                pairs += np.exp(pair, out=pair)
+            dA[:k, :k] = np.tensordot(w, pairs, axes=1)
+        dA[start, :k] = w @ unary[0]
+        dA[:k, stop] = w @ unary[lens - 1, np.arange(B)]
+        return dG_gold, dA_gold, (unary * w[:, None]).reshape(L * B, k), dA
+
+    tape.record(out, (emissions, crf.transitions, emissions, crf.transitions), vjp)
+    return out
 
 
 def viterbi_decode(crf: CrfLayer, emissions, lengths=None) -> list[tuple[list[int], float]]:
@@ -761,16 +768,21 @@ def total_loss(
 ) -> tuple[Tensor, np.ndarray, Tape]:
     """Task-weighted sum of the heads' CRF losses over a chunk of queries,
     with each query's own loss and the tape.  A query's loss is folded left
-    in head order: ((w_pos*L_pos + w_type*L_type) + w_schema*L_schema)."""
+    in head order: ((w_pos*L_pos + w_type*L_type) + w_schema*L_schema).
+    The weighted sum over the heads' losses is one tape record."""
     *emissions, tape = model_forward(model, [q.words for q in queries], mask_stream)
     weight = dict(zip(HEAD_ORDER, model.weights.as_tuple()))
-    per_query = None
-    for head, emission in zip(model.heads, emissions):
+    weights = [weight[head.level] for head in model.heads]
+    nlls, per_query = [], None
+    for head, emission, w in zip(model.heads, emissions, weights):
         vocab = model.vocabs[head.level]
         gold = [[vocab.index_of(t) for t in q.tags(head.level)] for q in queries]
-        term = nm.scale(crf_nll(head.crf, emission, gold, tape), weight[head.level], tape)
-        per_query = term if per_query is None else nm.add(per_query, term, tape)
-    return nm.sum_all(per_query, tape), per_query.data[:, 0], tape
+        nlls.append(crf_nll(head.crf, emission, gold, tape))
+        term = nlls[-1].data * w
+        per_query = term if per_query is None else per_query + term
+    loss = Tensor(per_query.sum())
+    tape.record(loss, tuple(nlls), lambda g: [np.full(per_query.shape, g[0, 0]) * w for w in weights])
+    return loss, per_query[:, 0], tape
 
 
 def decode(

@@ -7,12 +7,14 @@ import re
 
 import numpy as np
 
+import tape_ops as ops
 from dbtagger.baselines import (
     SCAN_ROW_LIMIT, InvertedValueIndex, MappingResult, edit_distance, normalize, word_ngrams,
 )
 from dbtagger.embeddings import embed_token
 from dbtagger.numerics import Tensor, backward
 from dbtagger.schema import Attribute, Schema, Table, build_schema_graph
+from dbtagger.tagger import HEAD_ORDER, crf_log_partition, crf_score, model_forward
 
 
 def finite_diff_check(
@@ -65,6 +67,77 @@ def finite_diff_check(
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
         worst = max(worst, err)
     return worst
+
+
+def crf_nll_by_records(crf, emissions, tags, tape=None):
+    """The CRF loss as four tape records: the log-partition and the
+    gold-path score, each with its own VJP, then ``scale`` by -1 and
+    ``add``.  The log-partition VJP builds all (L-1) x B x k x k pair
+    marginals in one expression and sums them over time."""
+    lengths = [len(seq) for seq in tags]
+    log_z, alpha = crf_log_partition(crf, emissions, lengths, lattice=True)
+    gold, (rows, flat, query, first, last, inner_pos) = crf_score(crf, emissions, tags, path=True)
+    if tape is not None:
+        G3 = emissions.data.reshape(-1, len(tags), crf.tag_count)
+        L, B, k = G3.shape
+        lens = np.asarray(lengths)
+        A = crf.transitions.data
+        start, stop = crf.start_index, crf.stop_index
+        inner = A[:k, :k]
+        z = log_z.data[:, 0]
+
+        def partition_vjp(g):
+            w = g[:, 0]
+            beta = np.full((L, B, k), -np.inf)
+            for t in range(L - 1, -1, -1):
+                beta[t, lens - 1 == t] = A[:k, stop]
+                go = np.flatnonzero(lens - 1 > t)
+                if go.size:
+                    nxt = G3[t + 1, go] + beta[t + 1, go]
+                    x = inner + nxt[:, None, :]
+                    m = x.max(axis=2, keepdims=True)
+                    beta[t, go] = (m + np.log(np.exp(x - m).sum(axis=2, keepdims=True)))[:, :, 0]
+            shifted = alpha - z[:, None]
+            unary = np.exp(shifted + beta)
+            dG = (unary * w[:, None]).reshape(L * B, k)
+            dA = np.zeros_like(A)
+            if L > 1:
+                pair = np.exp(
+                    shifted[:-1, :, :, None] + inner + (G3[1:] + beta[1:])[:, :, None, :]
+                )
+                dA[:k, :k] = np.tensordot(w, pair.sum(axis=0), axes=1)
+            dA[start, :k] = w @ unary[0]
+            dA[:k, stop] = w @ unary[lens - 1, np.arange(B)]
+            return (dG, dA)
+
+        def score_vjp(g):
+            w = g[:, 0]
+            dG = np.zeros((L * B, k))
+            dG[rows, flat] = w[query]
+            dA = np.zeros_like(A)
+            np.add.at(dA, (start, flat[first]), w)
+            np.add.at(dA, (flat[last], stop), w)
+            np.add.at(dA, (flat[inner_pos], flat[inner_pos + 1]), w[query[inner_pos]])
+            return (dG, dA)
+
+        tape.record(log_z, (emissions, crf.transitions), partition_vjp)
+        tape.record(gold, (emissions, crf.transitions), score_vjp)
+    return ops.add(log_z, ops.scale(gold, -1.0, tape), tape)
+
+
+def total_loss_by_records(model, queries, mask_stream=None):
+    """``tagger.total_loss`` with every CRF loss as ``crf_nll_by_records``
+    and the weighted sum as ``scale``, a left fold of ``add`` and
+    ``sum_all`` records."""
+    *emissions, tape = model_forward(model, [q.words for q in queries], mask_stream)
+    weight = dict(zip(HEAD_ORDER, model.weights.as_tuple()))
+    per_query = None
+    for head, emission in zip(model.heads, emissions):
+        vocab = model.vocabs[head.level]
+        gold = [[vocab.index_of(t) for t in q.tags(head.level)] for q in queries]
+        term = ops.scale(crf_nll_by_records(head.crf, emission, gold, tape), weight[head.level], tape)
+        per_query = term if per_query is None else ops.add(per_query, term, tape)
+    return ops.sum_all(per_query, tape), per_query.data[:, 0], tape
 
 
 def steiner_min_edges(edges, required):

@@ -5,7 +5,6 @@ losses from; the package itself never calls them.  Each records onto a
 import numpy as np
 
 from dbtagger.numerics import ShapeError, Tape, Tensor
-from dbtagger.numerics import sum_all  # noqa: F401  (a package primitive; tests call ops.sum_all)
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
@@ -39,6 +38,21 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         def vjp(g):
             return g, (g if reduce is None else g.sum(axis=reduce, keepdims=True))
         tape.record(out, (a, b), vjp)
+    return out
+
+
+def scale(t: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
+    out = Tensor(t.data * factor)
+    if tape is not None:
+        tape.record(out, (t,), lambda g: (g * factor,))
+    return out
+
+
+def sum_all(t: Tensor, tape: Tape | None = None) -> Tensor:
+    out = Tensor(np.array([[t.data.sum()]]))
+    if tape is not None:
+        shape = t.data.shape
+        tape.record(out, (t,), lambda g: (np.full(shape, g[0, 0]),))
     return out
 
 

@@ -41,6 +41,27 @@ def trained_model_path(workdir):
     return out
 
 
+@pytest.mark.parametrize("flag", ["--out", "--history"])
+def test_train_checks_its_output_directories_before_fitting(flag, workdir, monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr(cli, "fit_variant", lambda *args, **kwargs: fits.append(args))
+    paths = {"--out": workdir / "unwritten.bin", "--history": workdir / "unwritten.csv"}
+    paths[flag] = workdir / "missing" / "m.bin"
+    status = run(
+        [
+            "train",
+            "--corpus", str(workdir / "fixture_corpus.tsv"),
+            "--schema", str(workdir / "imdb_subset.json"),
+            "--emb", str(workdir / "fixture_embeddings.vec"),
+            *(arg for pair in paths.items() for arg in (pair[0], str(pair[1]))),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert status == 1 and fits == []
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "missing" in err
+    assert not any(path.exists() for path in paths.values())
+
+
 def test_train_writes_model_and_history(trained_model_path, workdir):
     assert trained_model_path.exists()
     history = Path(str(trained_model_path) + ".history.csv")

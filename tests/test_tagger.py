@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from dbtagger.tagger import (
 from dbtagger.training import TrainConfig
 from dbtagger.variants import build_vocabs
 import model_files
+import oracles
 from oracles import finite_diff_check
 
 RNG = np.random.default_rng
@@ -431,9 +433,8 @@ def test_crf_never_reads_transitions_out_of_stop_or_into_start():
     def run():
         crf.transitions.zero_grad()
         tape = Tape()
-        log_z = crf_log_partition(crf, G, tape, lengths)
-        score = crf_score(crf, G, tags, tape)
-        backward(tape, nm.sum_all(nm.add(log_z, score, tape), tape))
+        backward(tape, ops.sum_all(crf_nll(crf, G, tags, tape), tape))
+        log_z, score = crf_log_partition(crf, G, lengths), crf_score(crf, G, tags)
         return log_z.data, score.data, viterbi_decode(crf, G, lengths), crf.transitions.grad
 
     log_z, score, decoded, grad = run()
@@ -447,6 +448,57 @@ def test_crf_never_reads_transitions_out_of_stop_or_into_start():
     masked[crf.stop_index, :] = masked[:, crf.start_index] = True
     assert np.all(grad2[masked] == 0.0)
     assert np.array_equal(grad, grad2) and np.any(grad[~masked] != 0.0)
+
+
+def _chunk(rng, lengths, k):
+    G = Tensor(tagger.pack([rng.standard_normal((n, k)) for n in lengths]))
+    tags = [[int(t) for t in rng.integers(0, k, n)] for n in lengths]
+    return G, tags, Tensor(rng.standard_normal((len(lengths), 1)))
+
+
+def _weighted_crf_grads(crf, chunks, nll):
+    """The emission and transition grads after backpropagating each
+    chunk's query-weighted loss in turn into the same grad slots."""
+    crf.transitions.zero_grad()
+    for G, _, _ in chunks:
+        G.zero_grad()
+    for G, tags, weights in chunks:
+        tape = Tape()
+        backward(tape, ops.sum_all(ops.hadamard(nll(crf, G, tags, tape), weights, tape), tape))
+    return [G.grad for G, _, _ in chunks] + [crf.transitions.grad]
+
+
+@pytest.mark.parametrize("case", ["full", "ragged", "two chunks"])
+def test_crf_nll_gradients_equal_the_record_by_record_loss_bit_for_bit(case):
+    rng = RNG(67)
+    crf, _ = random_crf(1, 6, seed=68)
+    ragged = _chunk(rng, [4, 1, 6, 2], 6)
+    reweighted = (*ragged[:2], Tensor([[0.3], [-1.2], [2.0], [0.7]]))
+    chunks = {
+        "full": [_chunk(rng, [5, 5, 5], 6)],
+        "ragged": [ragged],
+        # the ragged emissions come back, so every grad slot sums two chunks
+        "two chunks": [ragged, _chunk(rng, [3, 3], 6), reweighted],
+    }[case]
+    want = _weighted_crf_grads(crf, chunks, oracles.crf_nll_by_records)
+    got = _weighted_crf_grads(crf, chunks, crf_nll)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_crf_nll_at_300_tags_keeps_one_step_of_pair_marginals():
+    # the pair marginals of all 14 steps alone would take 161 MB
+    rng = RNG(69)
+    L, B, k = 15, 16, 300
+    crf, _ = random_crf(1, k, seed=70)
+    G, tags, _ = _chunk(rng, [L] * B, k)
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        backward(tape, ops.sum_all(crf_nll(crf, G, tags, tape), tape))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 # ---------------------------------------------------------------------------
@@ -1099,8 +1151,32 @@ def test_tape_length_does_not_depend_on_chunk_size_or_lengths(
     model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=5)
     queries = list(fixture_corpus.queries)
     chunks = [queries[:1], queries[-1:], queries[:7], queries[:16], _ragged_chunk(fixture_corpus)]
-    for stream in (None, MaskStream(0.5, RNG(0))):
-        assert len({len(total_loss(model, c, stream)[2]) for c in chunks}) == 1
+    # 5 GRU layers, the encoder concat, 3 emissions, 3 CRF losses and their
+    # weighted sum; training with masks adds the encoder dropout
+    for stream, records in ((None, 13), (MaskStream(0.5, RNG(0)), 14)):
+        assert {len(total_loss(model, c, stream)[2]) for c in chunks} == {records}
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_total_loss_gradients_equal_the_record_by_record_loss_bit_for_bit(
+    dropout, fixture_corpus, imdb_subset, fixture_embeddings
+):
+    model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=5)
+    chunks = [list(fixture_corpus.queries[:16]), _ragged_chunk(fixture_corpus)]
+
+    def run(loss_fn):
+        for _, p in model.parameters():
+            p.zero_grad()
+        stream = MaskStream(0.5, RNG(3)) if dropout else None
+        losses = []
+        for chunk in chunks:  # both chunks add into the same grad slots
+            loss, per_query, tape = loss_fn(model, chunk, stream)
+            losses += [loss.data, per_query]
+            backward(tape, loss)
+        return losses + [p.grad for _, p in model.parameters()]
+
+    got, want = run(total_loss), run(oracles.total_loss_by_records)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_decoding_computes_only_the_emissions_it_reads(
