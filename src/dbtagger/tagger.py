@@ -357,11 +357,10 @@ def _checked(crf: CrfLayer, emissions, lengths):
     return G.reshape(L, B, k), np.asarray(lengths if lengths is not None else [rows])
 
 
-def crf_score(crf: CrfLayer, emissions: Tensor, tags: list[list[int]], path: bool = False):
+def crf_score(crf: CrfLayer, emissions: Tensor, tags: list[list[int]]):
     """Path score of each query's tag sequence (B x 1): boundary and
-    adjacent transitions plus per-token emissions.  With ``path`` it also
-    returns the positions the sequences visit, which ``crf_nll``'s
-    gradient reads."""
+    adjacent transitions plus per-token emissions; and the positions the
+    sequences visit, which ``crf_nll``'s gradient reads."""
     lengths = [len(seq) for seq in tags]
     G3, _ = _checked(crf, emissions, lengths)
     L, B, k = G3.shape
@@ -380,8 +379,7 @@ def crf_score(crf: CrfLayer, emissions: Tensor, tags: list[list[int]], path: boo
     value = A[start, flat[first]] + A[flat[last], stop]
     value += np.bincount(query, G[rows, flat], minlength=B)
     value += np.bincount(query[inner], A[flat[inner], flat[inner + 1]], minlength=B)
-    out = Tensor(value[:, None])
-    return (out, (rows, flat, query, first, last, inner)) if path else out
+    return Tensor(value[:, None]), (rows, flat, query, first, last, inner)
 
 
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
@@ -389,11 +387,10 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis=axis)
 
 
-def crf_log_partition(crf: CrfLayer, emissions: Tensor, lengths=None, lattice: bool = False):
+def crf_log_partition(crf: CrfLayer, emissions: Tensor, lengths=None):
     """Each query's log sum over all its tag sequences of exp(path score)
-    (B x 1), by the forward algorithm in log space.  With ``lattice`` it
-    also returns the forward lattice (L x B x k), which ``crf_nll``'s
-    gradient reads."""
+    (B x 1), by the forward algorithm in log space; and the forward
+    lattice (L x B x k), which ``crf_nll``'s gradient reads."""
     G3, lens = _checked(crf, emissions, lengths)
     L, B, k = G3.shape
     A = crf.transitions.data
@@ -403,8 +400,7 @@ def crf_log_partition(crf: CrfLayer, emissions: Tensor, lengths=None, lattice: b
     for t in range(1, L):
         alpha[t] = _lse(alpha[t - 1][:, :, None] + inner, axis=1) + G3[t]
     ends = alpha[lens - 1, np.arange(B)]
-    out = Tensor(_lse(ends + A[:k, crf.stop_index], axis=1)[:, None])
-    return (out, alpha) if lattice else out
+    return Tensor(_lse(ends + A[:k, crf.stop_index], axis=1)[:, None]), alpha
 
 
 def crf_nll(
@@ -420,15 +416,14 @@ def crf_nll(
     term first: a grad slot then sums the two terms in the order that two
     records of their own would."""
     lengths = [len(seq) for seq in tags]
-    log_z, alpha = crf_log_partition(crf, emissions, lengths, lattice=True)
-    gold, (rows, flat, query, first, last, inner_pos) = crf_score(crf, emissions, tags, path=True)
+    log_z, alpha = crf_log_partition(crf, emissions, lengths)
+    gold, (rows, flat, query, first, last, inner_pos) = crf_score(crf, emissions, tags)
     out = Tensor(log_z.data - gold.data)
     if tape is None:
         return out
-    G3, lens = _checked(crf, emissions, lengths)
-    L, B, k = G3.shape
-    A = crf.transitions.data
-    start, stop = crf.start_index, crf.stop_index
+    L, B, k = alpha.shape
+    G3, lens = emissions.data.reshape(L, B, k), np.asarray(lengths)
+    A, start, stop = crf.transitions.data, crf.start_index, crf.stop_index
     inner = A[:k, :k]
 
     def vjp(g):

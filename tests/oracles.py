@@ -75,8 +75,8 @@ def crf_nll_by_records(crf, emissions, tags, tape=None):
     ``add``.  The log-partition VJP builds all (L-1) x B x k x k pair
     marginals in one expression and sums them over time."""
     lengths = [len(seq) for seq in tags]
-    log_z, alpha = crf_log_partition(crf, emissions, lengths, lattice=True)
-    gold, (rows, flat, query, first, last, inner_pos) = crf_score(crf, emissions, tags, path=True)
+    log_z, alpha = crf_log_partition(crf, emissions, lengths)
+    gold, (rows, flat, query, first, last, inner_pos) = crf_score(crf, emissions, tags)
     if tape is not None:
         G3 = emissions.data.reshape(-1, len(tags), crf.tag_count)
         L, B, k = G3.shape

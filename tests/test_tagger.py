@@ -291,7 +291,7 @@ def test_crf_score_no_transitions():
     crf, G = random_crf(2, 3, seed=20)
     crf.transitions.data[:] = 0.0
     tags = [2, 0]
-    assert crf_score(crf, G, [tags]).item() == pytest.approx(
+    assert crf_score(crf, G, [tags])[0].item() == pytest.approx(
         G.data[0, 2] + G.data[1, 0], abs=1e-12
     )
 
@@ -300,14 +300,14 @@ def test_crf_score_transitions_only():
     crf, G = random_crf(1, 3, seed=21)
     G.data[:] = 0.0
     A = crf.transitions.data
-    assert crf_score(crf, G, [[1]]).item() == pytest.approx(A[3, 1] + A[1, 4], abs=1e-12)
+    assert crf_score(crf, G, [[1]])[0].item() == pytest.approx(A[3, 1] + A[1, 4], abs=1e-12)
 
 
 def test_crf_score_matches_loop_oracle():
     crf, G = random_crf(4, 3, seed=22)
     tags = [2, 0, 1, 1]
     scores = enumerate_scores(G.data, crf.transitions.data, 3)
-    assert crf_score(crf, G, [tags]).item() == pytest.approx(scores[tuple(tags)], abs=1e-10)
+    assert crf_score(crf, G, [tags])[0].item() == pytest.approx(scores[tuple(tags)], abs=1e-10)
 
 
 def test_crf_score_rejects_bad_tags():
@@ -322,20 +322,20 @@ def test_log_partition_uniform_closed_form():
     crf, G = random_crf(2, 3, seed=24)
     crf.transitions.data[:] = 0.0
     G.data[:] = 0.0
-    assert crf_log_partition(crf, G).item() == pytest.approx(np.log(9.0), abs=1e-12)
+    assert crf_log_partition(crf, G)[0].item() == pytest.approx(np.log(9.0), abs=1e-12)
 
 
 def test_log_partition_single_token():
     crf, G = random_crf(1, 4, seed=25)
     crf.transitions.data[:] = 0.0
     want = ops.logsumexp_rows(Tensor(G.data[0:1])).item()
-    assert crf_log_partition(crf, G).item() == pytest.approx(want, abs=1e-12)
+    assert crf_log_partition(crf, G)[0].item() == pytest.approx(want, abs=1e-12)
 
 
 def test_log_partition_matches_enumeration():
     crf, G = random_crf(5, 4, seed=26)
     want = enum_log_partition(G.data, crf.transitions.data, 4)
-    assert crf_log_partition(crf, G).item() == pytest.approx(want, abs=1e-8)
+    assert crf_log_partition(crf, G)[0].item() == pytest.approx(want, abs=1e-8)
 
 
 def test_sequence_probabilities_sum_to_one():
@@ -343,7 +343,7 @@ def test_sequence_probabilities_sum_to_one():
         rng = RNG(seed)
         n, k = int(rng.integers(1, 7)), int(rng.integers(1, 6))
         crf, G = random_crf(n, k, seed=seed + 100)
-        log_z = crf_log_partition(crf, G).item()
+        log_z = crf_log_partition(crf, G)[0].item()
         total = sum(
             np.exp(s - log_z) for s in enumerate_scores(G.data, crf.transitions.data, k).values()
         )
@@ -417,11 +417,11 @@ def test_viterbi_ties_break_to_lowest_index():
 
 def test_log_partition_row_shift_invariance():
     crf, G = random_crf(4, 3, seed=45)
-    base_z = crf_log_partition(crf, G).item()
+    base_z = crf_log_partition(crf, G)[0].item()
     [(base_tags, _)] = viterbi_decode(crf, G)
     shifted = Tensor(G.data.copy())
     shifted.data[2] += 7.5
-    assert crf_log_partition(crf, shifted).item() == pytest.approx(base_z + 7.5, rel=1e-12)
+    assert crf_log_partition(crf, shifted)[0].item() == pytest.approx(base_z + 7.5, rel=1e-12)
     assert viterbi_decode(crf, shifted)[0][0] == base_tags
 
 
@@ -434,7 +434,7 @@ def test_crf_never_reads_transitions_out_of_stop_or_into_start():
         crf.transitions.zero_grad()
         tape = Tape()
         backward(tape, ops.sum_all(crf_nll(crf, G, tags, tape), tape))
-        log_z, score = crf_log_partition(crf, G, lengths), crf_score(crf, G, tags)
+        log_z, score = crf_log_partition(crf, G, lengths)[0], crf_score(crf, G, tags)[0]
         return log_z.data, score.data, viterbi_decode(crf, G, lengths), crf.transitions.grad
 
     log_z, score, decoded, grad = run()
@@ -1084,12 +1084,12 @@ def test_packed_crf_matches_each_query_alone():
     singles = [rng.standard_normal((n, 4)) for n in lengths]
     tags = [list(rng.integers(0, 4, n)) for n in lengths]
     G = Tensor(tagger.pack(singles))
-    log_z = crf_log_partition(crf, G, lengths=lengths).data[:, 0]
-    scores = crf_score(crf, G, tags).data[:, 0]
+    log_z = crf_log_partition(crf, G, lengths=lengths)[0].data[:, 0]
+    scores = crf_score(crf, G, tags)[0].data[:, 0]
     decoded = viterbi_decode(crf, G, lengths)
     for b, single in enumerate(singles):
-        assert abs(log_z[b] - crf_log_partition(crf, Tensor(single)).item()) <= 1e-12
-        assert abs(scores[b] - crf_score(crf, Tensor(single), [tags[b]]).item()) <= 1e-12
+        assert abs(log_z[b] - crf_log_partition(crf, Tensor(single))[0].item()) <= 1e-12
+        assert abs(scores[b] - crf_score(crf, Tensor(single), [tags[b]])[0].item()) <= 1e-12
         [(path, best)] = viterbi_decode(crf, Tensor(single))
         assert decoded[b][0] == path and abs(decoded[b][1] - best) <= 1e-12
 
