@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 TYPE_TAGS = frozenset({"TABLE", "TABLEREF", "ATTR", "ATTRREF", "VALUE", "COND", "O"})
@@ -130,14 +131,9 @@ class TagVocab:
         except KeyError:
             raise KeyError(f"tag {symbol!r} not in {self.level.value} vocabulary") from None
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, int]:
-        # computed lazily; object.__setattr__ because the dataclass is frozen
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {s: i for i, s in enumerate(self.symbols)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        return {s: i for i, s in enumerate(self.symbols)}
 
 
 def canonical_schema_tag(raw: str) -> str:

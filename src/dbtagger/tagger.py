@@ -563,11 +563,11 @@ class DBTaggerModel:
     head's emission features.
 
     ``encoder`` holds (parameter prefix, GruCell | BiGruLayer) pairs.
-    ``extra_features``, when given, is a (width, function) pair: the
-    function maps a chunk's sentences to one (n x width) matrix each of
-    columns appended to the word vectors.  The full model (``build``) is one
-    shared bi-GRU and three heads; the ablation variants drop parts of it.
-    The widths of the layers must chain, or ShapeError is raised.
+    ``previous``, for an MT_Seq stage, is the stage before it: the network
+    reads the tags that stage predicts as one-hot columns beside the word
+    vectors (``query_inputs``).  The full model (``build``) is one shared
+    bi-GRU and three heads; the ablation variants drop parts of it.  The
+    widths of the layers must chain, or ShapeError is raised.
     """
 
     def __init__(
@@ -578,7 +578,7 @@ class DBTaggerModel:
         vocabs: dict[TagLevel, TagVocab],
         weights: TaskWeights,
         dropout_rate: float,
-        extra_features=None,
+        previous: "DBTaggerModel | None" = None,
     ):
         ranks = [HEAD_ORDER.index(h.level) for h in heads]
         if not ranks or ranks != sorted(set(ranks)):
@@ -588,7 +588,7 @@ class DBTaggerModel:
             if takes != gets:
                 raise nm.ShapeError(f"{name} takes {takes} inputs, gets {gets}")
 
-        width = embeddings.dimension + (0 if extra_features is None else extra_features[0])
+        width = embeddings.dimension + (previous.tag_vocab.size if previous else 0)
         for prefix, layer in encoder:
             check(prefix, layer.input_size, width)
             width = layer.output_size
@@ -611,7 +611,7 @@ class DBTaggerModel:
         self.weights = weights
         _check_dropout_rate(dropout_rate)
         self.dropout_rate = dropout_rate
-        self.extra_features = extra_features
+        self.previous = previous
 
     @classmethod
     def build(
@@ -649,9 +649,15 @@ class DBTaggerModel:
             + self.embeddings.estimated_bytes()
         )
 
+    @property
+    def tag_vocab(self) -> TagVocab:
+        """The vocabulary of the last head, whose tags the model predicts."""
+        return self.vocabs[self.heads[-1].level]
+
     def predict_tags(self, sentences: list[list[str]]) -> list[list[str]]:
         """Viterbi tags of the last head for each sentence."""
-        return decode(self, sentences, (self.heads[-1].level,))[self.heads[-1].level]
+        level = self.heads[-1].level
+        return decode(self, query_inputs(self, sentences), (level,))[level]
 
 
 def _full_model(embeddings, vocabs, hidden, weights, dropout_rate, layer) -> DBTaggerModel:
@@ -693,17 +699,32 @@ def _draw_masks(model: DBTaggerModel, stream: MaskStream, count: int):
     return per_layer, np.vstack([row for _, row in drawn])
 
 
+def query_inputs(model: DBTaggerModel, sentences: list[list[str]]) -> list[np.ndarray]:
+    """What the network reads of each sentence, one (n x width) matrix: the
+    word vectors and, for a model with a ``previous`` stage, the tags that
+    stage predicts as one-hot columns beside them."""
+    inputs = [embed_query(model.embeddings, s) for s in sentences]
+    if model.previous is None:
+        return inputs
+    vocab = model.previous.tag_vocab
+    for i, tags in enumerate(model.previous.predict_tags(sentences)):
+        one_hot = np.zeros((len(tags), vocab.size))
+        one_hot[np.arange(len(tags)), [vocab.index_of(t) for t in tags]] = 1.0
+        inputs[i] = np.hstack([inputs[i], one_hot])
+    return inputs
+
+
 def model_forward(
     model: DBTaggerModel,
-    sentences: list[list[str]],
+    inputs: list[np.ndarray],
     mask_stream: MaskStream | None = None,
     record: bool = True,
     levels=None,
 ) -> tuple:
-    """Emission matrices of the heads in order for a chunk of sentences,
-    packed time-major (row ``t*B + b`` is token t of sentence b), followed
-    by the tape that built them (None when ``record`` is false, as for
-    decoding).
+    """Emission matrices of the heads in order for a chunk of queries given
+    as their ``query_inputs`` matrices, packed time-major (row ``t*B + b``
+    is token t of query b), followed by the tape that built them (None when
+    ``record`` is false, as for decoding).
 
     ``levels`` names the heads whose emissions are wanted (default: all);
     the others come back as None.  A head's GRU runs only when its own or
@@ -713,18 +734,12 @@ def model_forward(
     only, with masks drawn query by query as ``_draw_masks`` describes.  An
     empty encoder draws no mask.
     """
-    if not sentences or not all(sentences):
-        raise ValueError("cannot tag an empty token list")
-    lengths = [len(s) for s in sentences]
+    lengths = [len(x) for x in inputs]
     train = mask_stream is not None and bool(model.encoder)
     tape = Tape() if record else None
-    inputs = [embed_query(model.embeddings, s) for s in sentences]
-    if model.extra_features is not None:
-        _, features = model.extra_features
-        inputs = [np.hstack([x, e]) for x, e in zip(inputs, features(sentences))]
     X = pack(inputs)
     if train:
-        layer_masks, out_rows = _draw_masks(model, mask_stream, len(sentences))
+        layer_masks, out_rows = _draw_masks(model, mask_stream, len(inputs))
 
     H = X
     for i, (_, layer) in enumerate(model.encoder):
@@ -756,23 +771,42 @@ def model_forward(
     return (*emissions, tape)
 
 
+@dataclass(frozen=True)
+class Example:
+    """An annotated query as a fit reads it: its ``query_inputs`` matrix and
+    each head's gold tag indices, in head order."""
+
+    query: AnnotatedQuery
+    inputs: np.ndarray
+    gold: tuple[list[int], ...]
+
+
+def prepare_queries(model: DBTaggerModel, queries) -> list[Example]:
+    """Derive each query's inputs and gold indices once, for ``total_loss``
+    and ``training.token_accuracy`` to read as often as they like."""
+    inputs = query_inputs(model, [q.words for q in queries])
+    vocabs = [(model.vocabs[head.level], head.level) for head in model.heads]
+    return [
+        Example(q, x, tuple([v.index_of(t) for t in q.tags(level)] for v, level in vocabs))
+        for q, x in zip(queries, inputs)
+    ]
+
+
 def total_loss(
     model: DBTaggerModel,
-    queries: list[AnnotatedQuery],
+    examples: list[Example],
     mask_stream: MaskStream | None = None,
 ) -> tuple[Tensor, np.ndarray, Tape]:
     """Task-weighted sum of the heads' CRF losses over a chunk of queries,
     with each query's own loss and the tape.  A query's loss is folded left
     in head order: ((w_pos*L_pos + w_type*L_type) + w_schema*L_schema).
     The weighted sum over the heads' losses is one tape record."""
-    *emissions, tape = model_forward(model, [q.words for q in queries], mask_stream)
+    *emissions, tape = model_forward(model, [e.inputs for e in examples], mask_stream)
     weight = dict(zip(HEAD_ORDER, model.weights.as_tuple()))
     weights = [weight[head.level] for head in model.heads]
     nlls, per_query = [], None
-    for head, emission, w in zip(model.heads, emissions, weights):
-        vocab = model.vocabs[head.level]
-        gold = [[vocab.index_of(t) for t in q.tags(head.level)] for q in queries]
-        nlls.append(crf_nll(head.crf, emission, gold, tape))
+    for i, (head, emission, w) in enumerate(zip(model.heads, emissions, weights)):
+        nlls.append(crf_nll(head.crf, emission, [e.gold[i] for e in examples], tape))
         term = nlls[-1].data * w
         per_query = term if per_query is None else per_query + term
     loss = Tensor(per_query.sum())
@@ -781,19 +815,19 @@ def total_loss(
 
 
 def decode(
-    model: DBTaggerModel, sentences: list[list[str]], levels: tuple[TagLevel, ...]
+    model: DBTaggerModel, inputs: list[np.ndarray], levels: tuple[TagLevel, ...]
 ) -> dict[TagLevel, list[list[str]]]:
     """Viterbi tags of the heads at ``levels``, per level one tag list per
-    sentence.  The network's only pass without a tape: one ``model_forward``
-    per chunk of ``CHUNK`` sentences and one Viterbi pass per wanted head.  A
-    model whose scores overflow raises ValueError rather than tag."""
+    query's ``query_inputs``.  The network's only pass without a tape: one
+    ``model_forward`` per chunk of ``CHUNK`` queries and one Viterbi pass per
+    wanted head.  A model whose scores overflow raises ValueError."""
     tags = {level: [] for level in levels}
-    for chunk in chunks(sentences):
+    for chunk in chunks(inputs):
         *emissions, _ = model_forward(model, chunk, record=False, levels=levels)
         for head, emission in zip(model.heads, emissions):
             if emission is None:
                 continue
-            decoded = viterbi_decode(head.crf, emission, [len(s) for s in chunk])
+            decoded = viterbi_decode(head.crf, emission, [len(x) for x in chunk])
             if not all(math.isfinite(score) for _, score in decoded):
                 raise ValueError("tag scores are not finite: the model's parameters overflow")
             symbols = model.vocabs[head.level].symbols
@@ -853,7 +887,7 @@ def tag_queries(model: DBTaggerModel, sentences: list[list[str]]) -> list[Tagged
     """Decode TYPE and SCHEMA tags for tokenized queries and merge each
     query's value spans.  The POS head only shapes training; its emission is
     not computed."""
-    tags = decode(model, sentences, (TagLevel.TYPE, TagLevel.SCHEMA))
+    tags = decode(model, query_inputs(model, sentences), (TagLevel.TYPE, TagLevel.SCHEMA))
     tagged = []
     for words, types, schemas in zip(sentences, tags[TagLevel.TYPE], tags[TagLevel.SCHEMA]):
         tokens = [TaggedToken(*token) for token in zip(words, types, schemas)]

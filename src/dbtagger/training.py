@@ -18,9 +18,12 @@ from .tagger import (
     DEFAULT_HIDDEN,
     DEFAULT_WEIGHTS,
     DBTaggerModel,
+    Example,
     MaskStream,
     TaskWeights,
     chunks,
+    decode,
+    prepare_queries,
     total_loss,
 )
 from .variants import build_vocabs, make_variant
@@ -123,13 +126,14 @@ def nadam_step(state: NadamState, params: list[Tensor], grads: list[np.ndarray])
         p.data = p.data - NADAM_ALPHA * direction / (np.sqrt(v_hat) + NADAM_EPS)
 
 
-def token_accuracy(model: DBTaggerModel, dataset: Dataset) -> float:
-    """Fraction of tokens tagged correctly at the level of the last head."""
+def token_accuracy(model: DBTaggerModel, examples: list[Example]) -> float:
+    """Fraction of the prepared queries' tokens tagged right at the last head's level."""
+    level, symbols = model.heads[-1].level, model.tag_vocab.symbols
     correct = total = 0
-    predictions = model.predict_tags([q.words for q in dataset.queries])
-    for query, predicted in zip(dataset.queries, predictions):
-        gold = query.tags(model.heads[-1].level)
-        correct += sum(1 for p, g in zip(predicted, gold) if p == g)
+    predictions = decode(model, [e.inputs for e in examples], (level,))[level]
+    for example, predicted in zip(examples, predictions):
+        gold = example.gold[-1]
+        correct += sum(1 for p, g in zip(predicted, gold) if p == symbols[g])
         total += len(gold)
     return correct / total if total else 1.0
 
@@ -144,11 +148,10 @@ def _backward_pass(model: DBTaggerModel, chunk, mask_stream, epoch: int) -> list
     before the next chunk's forward pass."""
     loss, values, tape = total_loss(model, chunk, mask_stream)
     losses = values.tolist()
-    for query, value in zip(chunk, losses):
+    for example, value in zip(chunk, losses):
         if not np.isfinite(value):
-            raise TrainingError(
-                f"non-finite loss {value} at epoch {epoch} on query {' '.join(query.words)!r}"
-            )
+            words = " ".join(example.query.words)
+            raise TrainingError(f"non-finite loss {value} at epoch {epoch} on query {words!r}")
     backward(tape, loss)
     return losses
 
@@ -161,19 +164,20 @@ def train(
 ) -> list[EpochRecord]:
     """Fit in place and return the per-epoch history.
 
-    Epochs 1..switch use Adadelta, the rest Nadam (fresh state at the
-    switch).  Each epoch shuffles queries with the seeded stream, batches
-    them, sums the query losses over a batch (one packed pass per chunk of
-    it) and applies one optimizer step per batch.  Dropout masks are drawn
-    at the model's own rate.  ``val_accuracy`` is measured on ``val`` when
-    given, else on the training set.
+    The queries are prepared once per fit.  Epochs 1..switch use Adadelta,
+    the rest Nadam (fresh state at the switch).  Each epoch shuffles queries
+    with the seeded stream, batches them, sums the query losses over a batch
+    (one packed pass per chunk of it) and applies one optimizer step per
+    batch.  Dropout masks are drawn at the model's own rate.  ``val_accuracy``
+    is measured on ``val`` when given, else on the training set.
     """
     params = [t for _, t in model.parameters()]
     shuffle_rng = random.Random(config.seed)
     mask_stream = MaskStream(model.dropout_rate, np.random.default_rng([config.seed, 0xD0]))
     adadelta: AdadeltaState | None = AdadeltaState(params)
     nadam: NadamState | None = None
-    eval_set = val if val is not None else dataset
+    train_set = prepare_queries(model, dataset.queries)
+    eval_set = train_set if val is None else prepare_queries(model, val.queries)
     history: list[EpochRecord] = []
     best_acc = -1.0
     stale = 0
@@ -186,7 +190,7 @@ def train(
             if nadam is None:
                 adadelta = None  # release its accumulators before Nadam allocates
                 nadam = NadamState(params)
-        order = list(dataset.queries)
+        order = list(train_set)
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):

@@ -4,9 +4,13 @@ SELECT-join SQL skeleton.
 
 The minimal tree is found exactly: a connected induced subgraph on
 required-plus-extra tables has a spanning tree with (nodes - 1) edges, so
-minimizing edges means minimizing the connected node superset, which is
-enumerated by increasing size (table counts here are small).  Equal-size
-winners are the lexicographically smallest sorted table tuple.
+minimizing edges means minimizing the connected node superset.  Supersets
+are tried by increasing size, each size's extra tables drawn by
+``combinations`` from the sorted pool (table counts here are small).  The
+extras are disjoint from the required tables, so that order is the
+lexicographic order of the sorted supersets, and the first connected one is
+the lexicographically smallest sorted table tuple of its size.  Its join
+tree is the breadth-first tree from its smallest name.
 """
 
 from __future__ import annotations
@@ -76,39 +80,24 @@ class JoinPath:
     joins: tuple[tuple[str, str, JoinEdge], ...]  # (already-joined, new, FK edge)
 
 
-def _connects(graph: SchemaGraph, nodes: tuple[str, ...]) -> bool:
-    node_set = set(nodes)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        current = frontier.pop()
+def _spanning_tree(graph: SchemaGraph, nodes: tuple[str, ...]):
+    """Breadth-first walk of the subgraph induced by ``nodes`` from
+    ``nodes[0]``: the tables in discovery order and the (joined, new) pair
+    that reached each later one; None when the nodes are not connected."""
+    unseen = set(nodes[1:])
+    order, pairs = [nodes[0]], []
+    for current in order:  # ``order`` grows behind the walk: it is the queue
         for neighbor in graph.neighbors(current):
-            if neighbor in node_set and neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return seen == node_set
-
-
-def _spanning_join_path(graph: SchemaGraph, nodes: tuple[str, ...]) -> JoinPath:
-    root = nodes[0]  # nodes arrive sorted; root is the smallest name
-    node_set = set(nodes)
-    order = [root]
-    joins = []
-    seen = {root}
-    queue = [root]
-    while queue:
-        current = queue.pop(0)
-        for neighbor in graph.neighbors(current):
-            if neighbor in node_set and neighbor not in seen:
-                seen.add(neighbor)
+            if neighbor in unseen:
+                unseen.remove(neighbor)
                 order.append(neighbor)
-                joins.append((current, neighbor, graph.joins_for(current, neighbor)[0]))
-                queue.append(neighbor)
-    return JoinPath(tables=tuple(order), joins=tuple(joins))
+                pairs.append((current, neighbor))
+    return None if unseen else (order, pairs)
 
 
 def infer_join_path(graph: SchemaGraph, mappings: MappingSet) -> JoinPath:
-    """Smallest join tree covering every table the mappings touch.
+    """Smallest join tree covering every table the mappings touch; among
+    equal sizes, the one on the lexicographically smallest sorted tables.
 
     Raises JoinPathError when the required tables cannot be connected.
     """
@@ -118,20 +107,15 @@ def infer_join_path(graph: SchemaGraph, mappings: MappingSet) -> JoinPath:
     unknown = sorted(required - set(graph.nodes))
     if unknown:
         raise JoinPathError(f"tables not in the schema graph: {', '.join(unknown)}")
-    if len(required) == 1:
-        return JoinPath(tables=(next(iter(required)),), joins=())
     extras_pool = sorted(set(graph.nodes) - required)
-    for size in range(0, len(extras_pool) + 1):
-        winners = []
+    for size in range(len(extras_pool) + 1):
         for extra in combinations(extras_pool, size):
-            nodes = tuple(sorted(required | set(extra)))
-            if _connects(graph, nodes):
-                winners.append(nodes)
-        if winners:
-            return _spanning_join_path(graph, min(winners))
-    raise JoinPathError(
-        f"no join path connects tables: {', '.join(sorted(required))}"
-    )
+            tree = _spanning_tree(graph, tuple(sorted(required.union(extra))))
+            if tree is not None:
+                order, pairs = tree
+                joins = tuple((a, b, graph.joins_for(a, b)[0]) for a, b in pairs)
+                return JoinPath(tables=tuple(order), joins=joins)
+    raise JoinPathError(f"no join path connects tables: {', '.join(sorted(required))}")
 
 
 def _quote(literal: str) -> str:

@@ -26,34 +26,13 @@ VARIANTS = ("CRF", "ST_Uni", "ST_Bi", "MT_Seq", "DBTagger")
 
 
 def _single_task(
-    level: TagLevel, vocabs, embeddings, encoder, crf, dropout_rate, extra_features=None
+    level: TagLevel, vocabs, embeddings, encoder, crf, dropout_rate, previous=None
 ) -> DBTaggerModel:
     """The network with one head at ``level`` whose CRF reads the encoder
     output directly; all of the loss weight sits on that head."""
     weights = TaskWeights(*(float(other == level) for other in HEAD_ORDER))
     head = TaskHead(level, None, crf)
-    return DBTaggerModel(embeddings, encoder, [head], vocabs, weights, dropout_rate, extra_features)
-
-
-def _one_hot_features(previous: DBTaggerModel, vocab):
-    """The extra features of an MT_Seq stage: the previous stage's predicted
-    tags as one-hot rows, as a (width, function) pair.  Each sentence's
-    predictions are cached on its first use, so the previous stage must be
-    trained before this stage first runs; the sentences not seen before are
-    decoded together."""
-    cache: dict[tuple, np.ndarray] = {}
-
-    def extra(sentences: list[list[str]]) -> list[np.ndarray]:
-        new = [key for key in dict.fromkeys(map(tuple, sentences)) if key not in cache]
-        if new:
-            for key, tags in zip(new, previous.predict_tags([list(k) for k in new])):
-                mat = np.zeros((len(key), vocab.size))
-                for i, tag in enumerate(tags):
-                    mat[i, vocab.index_of(tag)] = 1.0
-                cache[key] = mat
-        return [cache[tuple(s)] for s in sentences]
-
-    return vocab.size, extra
+    return DBTaggerModel(embeddings, encoder, [head], vocabs, weights, dropout_rate, previous)
 
 
 def build_vocabs(dataset: Dataset, schema: Schema):
@@ -78,15 +57,15 @@ def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config) -> list[
         weights, rate = config.task_weights(), config.dropout
         return [DBTaggerModel.build(embeddings, vocabs, u, weights, rate, seed=config.seed)]
     if name == "MT_Seq":
-        stages, extra = [], None
+        stages = []
         for level in HEAD_ORDER:
-            width = d if extra is None else d + extra[0]
+            previous = stages[-1] if stages else None
+            width = d + (previous.tag_vocab.size if previous else 0)
             bi, uni = fresh_bigru(width, u, rng), fresh_gru(2 * u, u, rng)
             crf = fresh_crf(vocabs[level].size, u, rng)
             encoder = [("enc0.bi", bi), ("enc1.uni", uni)]
-            stage = _single_task(level, vocabs, embeddings, encoder, crf, config.dropout, extra)
+            stage = _single_task(level, vocabs, embeddings, encoder, crf, config.dropout, previous)
             stages.append(stage)
-            extra = _one_hot_features(stage, vocabs[level])
         return stages
     if name == "CRF":
         encoder, width = [], d

@@ -125,16 +125,15 @@ def crf_nll_by_records(crf, emissions, tags, tape=None):
     return ops.add(log_z, ops.scale(gold, -1.0, tape), tape)
 
 
-def total_loss_by_records(model, queries, mask_stream=None):
+def total_loss_by_records(model, examples, mask_stream=None):
     """``tagger.total_loss`` with every CRF loss as ``crf_nll_by_records``
     and the weighted sum as ``scale``, a left fold of ``add`` and
     ``sum_all`` records."""
-    *emissions, tape = model_forward(model, [q.words for q in queries], mask_stream)
+    *emissions, tape = model_forward(model, [e.inputs for e in examples], mask_stream)
     weight = dict(zip(HEAD_ORDER, model.weights.as_tuple()))
     per_query = None
-    for head, emission in zip(model.heads, emissions):
-        vocab = model.vocabs[head.level]
-        gold = [[vocab.index_of(t) for t in q.tags(head.level)] for q in queries]
+    for i, (head, emission) in enumerate(zip(model.heads, emissions)):
+        gold = [e.gold[i] for e in examples]
         term = ops.scale(crf_nll_by_records(head.crf, emission, gold, tape), weight[head.level], tape)
         per_query = term if per_query is None else ops.add(per_query, term, tape)
     return ops.sum_all(per_query, tape), per_query.data[:, 0], tape
@@ -170,6 +169,43 @@ def steiner_min_edges(edges, required):
                         frontier.append(neighbor)
             if required <= seen:
                 return size
+    return None
+
+
+def join_path_by_min_winner(graph, required):
+    """The smallest join tree over ``required`` by the search that collects
+    every connected superset of the smallest connected size and keeps the
+    ``min`` sorted table tuple, then walks it breadth-first from its first
+    name: as (tables, joins), or None when no superset connects."""
+    required = set(required)
+
+    def connects(nodes):
+        seen, frontier = {nodes[0]}, [nodes[0]]
+        while frontier:
+            for neighbor in graph.neighbors(frontier.pop()):
+                if neighbor in nodes and neighbor not in seen:
+                    seen.add(neighbor)
+                    frontier.append(neighbor)
+        return seen == set(nodes)
+
+    pool = sorted(set(graph.nodes) - required)
+    for size in range(len(pool) + 1):
+        winners = [
+            nodes
+            for extra in itertools.combinations(pool, size)
+            if connects(nodes := tuple(sorted(required | set(extra))))
+        ]
+        if winners:
+            nodes = min(winners)
+            order, joins, queue = [nodes[0]], [], [nodes[0]]
+            while queue:
+                current = queue.pop(0)
+                for neighbor in graph.neighbors(current):
+                    if neighbor in nodes and neighbor not in order:
+                        order.append(neighbor)
+                        joins.append((current, neighbor, graph.joins_for(current, neighbor)[0]))
+                        queue.append(neighbor)
+            return tuple(order), tuple(joins)
     return None
 
 

@@ -30,6 +30,8 @@ from dbtagger.tagger import (
     fresh_crf,
     load_model,
     model_forward,
+    prepare_queries,
+    query_inputs,
     save_model,
     tag_query,
     total_loss,
@@ -115,7 +117,8 @@ def test_criterion_2_gradients_match_finite_differences():
         params = [t for _, t in model.parameters()]
 
         def build():
-            loss, _, tape = total_loss(model, [query])  # dropout off: no mask stream
+            # dropout off: no mask stream
+            loss, _, tape = total_loss(model, prepare_queries(model, [query]))
             return loss, tape
 
         err = finite_diff_check(build, params, h=1e-5, max_coords=200, rng=RNG(11))
@@ -129,8 +132,8 @@ def test_criterion_3_loss_composition_exact():
         for seed in (7, 8, 9):
             query, model = _three_token_setup(seed)
             model.weights = TaskWeights(0.1, 0.2, 0.7)
-            loss, _, _ = total_loss(model, [query])
-            emissions = model_forward(model, [query.words])[:3]
+            loss, _, _ = total_loss(model, prepare_queries(model, [query]))
+            emissions = model_forward(model, query_inputs(model, [query.words]))[:3]
             parts = []
             for head, G in zip(model.heads, emissions):
                 gold = [
@@ -337,7 +340,8 @@ def test_criterion_10_determinism_and_roundtrip(
         assert save_model(again) == blob
         tokens = fixture_corpus.queries[3].words
         assert np.array_equal(
-            model_forward(model, [tokens])[2].data, model_forward(again, [tokens])[2].data
+            model_forward(model, query_inputs(model, [tokens]))[2].data,
+            model_forward(again, query_inputs(again, [tokens]))[2].data,
         )
 
         small = Dataset(queries=fixture_corpus.queries[:10], name="small")

@@ -1,10 +1,12 @@
 """Property-based fuzzing of every loader: a malformed model file, schema
 JSON or embeddings text ends in the loader's own ValueError subclass and,
 from the command line, in ``error:`` and exit 1.  Whatever loads must be
-usable."""
+usable.  Across the subcommands, any mix of path and numeric flags ends in
+a clean exit 0 or in one ``error:`` line and exit 1."""
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -19,6 +21,7 @@ from dbtagger.corpus import TagLevel, build_tag_vocab, parse_corpus
 from dbtagger.embeddings import EmbeddingFormatError, EmbeddingTable, load_embeddings
 from dbtagger.schema import SchemaError, load_schema
 from dbtagger.tagger import DBTaggerModel, ModelFormatError, load_model, save_model, tag_query
+from dbtagger.variants import build_vocabs
 
 QUERY = ["who", "acted", "Nash", "unseen"]
 
@@ -181,3 +184,121 @@ def test_embeddings_text(workdir, text):
     assert table.dimension >= 1 and len(table.vectors) >= 1
     for vec in table.vectors.values():
         assert vec.shape == (table.dimension,) and np.isfinite(vec).all()
+
+
+# ---------------------------------------------------------------------------
+# the command line: one error contract across the subcommands
+
+# Each subcommand's input and output path flags, and its numeric flags as
+# (the value a plain run passes, the large but cheap value); translate reads
+# --tagged or --model, and --query with --model.
+_TRAINING = {"--epochs": (2, 2), "--switch-epoch": (1, 2), "--batch-size": (4, 64),
+             "--hidden": (3, 8), "--dropout": (0.5, 0.5), "--patience": (1, 3)}
+_SUBCOMMANDS = {
+    "train": (("--corpus", "--schema", "--emb"), ("--out", "--history"), _TRAINING),
+    "cv": (("--corpus", "--schema", "--emb"), (), {**_TRAINING, "--k": (2, 9)}),
+    "tag": (("--model", "--input"), (), {}),
+    "eval": (("--model", "--corpus"), (), {}),
+    "bench": (("--schema", "--model", "--queries"), ("--out",), {"--reps": (1, 3), "--rows": (5, 50)}),
+    "stats": (("--schema",), (), {"--expected-tags": (28, 10**6)}),
+    "translate": (("--schema", "--tagged", "--model"), (), {}),
+}
+# what each input flag reads, and a file of another kind to give it instead
+_READS = {"--corpus": "corpus.tsv", "--schema": "schema.json", "--emb": "emb.vec",
+          "--model": "model.bin", "--input": "queries.txt", "--queries": "queries.txt",
+          "--tagged": "tagged.tsv"}
+_WRONG_KIND = {"corpus.tsv": "schema.json", "schema.json": "corpus.tsv", "emb.vec": "model.bin",
+               "model.bin": "emb.vec", "queries.txt": "model.bin", "tagged.tsv": "schema.json"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The valid input files: eight fixture queries, the imdb subset, the
+    fixture embeddings, an untrained model over them, queries to tag and a
+    tagged query to translate; and an empty directory for outputs."""
+    path = tmp_path_factory.mktemp("cli")
+    corpus_text = "\n\n".join(
+        (FIXTURES / "fixture_corpus.tsv").read_text(encoding="utf-8").split("\n\n")[:8]
+    ) + "\n"
+    texts = {
+        "corpus.tsv": corpus_text,
+        "schema.json": (FIXTURES / "imdb_subset.json").read_text(encoding="utf-8"),
+        "emb.vec": (FIXTURES / "fixture_embeddings.vec").read_text(encoding="utf-8"),
+        "queries.txt": " ".join(QUERY) + "\nwho wrote Heat\n",
+        "tagged.tsv": "movie\tTABLE\tmovie\ntitle\tATTR\tmovie.title\n",
+    }
+    for name, text in texts.items():
+        (path / name).write_text(text, encoding="utf-8")
+    vocabs = build_vocabs(parse_corpus(corpus_text), load_schema(texts["schema.json"]))
+    model = DBTaggerModel.build(load_embeddings(texts["emb.vec"]), vocabs, hidden=2, seed=0)
+    (path / "model.bin").write_bytes(save_model(model))
+    (path / "out").mkdir()
+    return path
+
+
+@st.composite
+def _input_path(draw, files, flag, perturbed):
+    valid = files / _READS[flag]
+    kind = draw(st.sampled_from(["mutated", "wrong kind", "missing", "directory"])) if perturbed else "valid"
+    if kind == "valid":
+        return str(valid)
+    if kind == "wrong kind":
+        return str(files / _WRONG_KIND[valid.name])
+    if kind == "missing":
+        return str(files / "absent" / valid.name)
+    if kind == "directory":
+        return str(files)
+    blob = bytearray(valid.read_bytes())
+    at = draw(st.integers(0, len(blob) - 1))
+    if draw(st.booleans()):
+        del blob[at:]
+    else:
+        blob[at] = draw(st.integers(0, 255))
+    mutated = files / f"mutated{flag}"
+    mutated.write_bytes(bytes(blob))
+    return str(mutated)
+
+
+@st.composite
+def _argv(draw, files):
+    """A subcommand's arguments with up to three flags perturbed: a path
+    flag to a mutated copy, a file of the wrong kind, a missing path or a
+    directory; a numeric flag to -1, 0, 1 or its large value.  The other
+    flags take valid files and plain values."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    inputs, outputs, numbers = _SUBCOMMANDS[command]
+    numbers = {"--seed": (0, 2**32), **numbers}
+    flags = sorted({*inputs, *outputs, *numbers})
+    perturbed = draw(st.sets(st.sampled_from(flags), max_size=3))
+    argv = []
+    for flag in inputs:
+        if command == "translate" and flag != "--schema" and draw(st.booleans()):
+            continue
+        argv += [flag, draw(_input_path(files, flag, flag in perturbed))]
+    if "--model" in argv and command == "translate":
+        argv += ["--query", " ".join(QUERY)]
+    for flag in outputs:
+        where = files / "out"
+        if flag in perturbed:  # a missing directory, a file, a directory itself
+            where = draw(st.sampled_from([files / "absent", files / "corpus.tsv", files]))
+        argv += [flag, str(where if where == files else where / flag.strip("-"))]
+    for flag, (plain, large) in numbers.items():
+        value = draw(st.sampled_from([-1, 0, 1, large])) if flag in perturbed else plain
+        argv += [flag, str(value)]
+    seed = argv.index("--seed")
+    return [*argv[seed : seed + 2], command, *argv[:seed], *argv[seed + 2 :]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_exits_cleanly_or_with_one_error_line(cli_files, data):
+    argv = data.draw(_argv(cli_files))
+    status, out, err = _cli(argv)
+    if status == 2:  # translate given neither --tagged nor --model
+        assert argv[2] == "translate" and "--tagged" not in argv and "--model" not in argv, err
+        return
+    if status == 0:
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+        return
+    assert status == 1, (status, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err

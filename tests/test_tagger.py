@@ -34,6 +34,8 @@ from dbtagger.tagger import (
     load_model,
     merge_value_spans,
     model_forward,
+    prepare_queries,
+    query_inputs,
     save_model,
     tag_queries,
     tag_query,
@@ -91,7 +93,7 @@ def enum_log_partition(G, A, k):
 def loss_and_tape(model, query, mask_stream=None):
     """total_loss of a one-query chunk as the (loss, tape) pair the
     gradient checks take."""
-    loss, _, tape = total_loss(model, [query], mask_stream)
+    loss, _, tape = total_loss(model, prepare_queries(model, [query]), mask_stream)
     return loss, tape
 
 
@@ -532,8 +534,8 @@ def test_task_weights_validation():
 def test_model_forward_infer_is_pure():
     ds, model = tiny_setup()
     tokens = ds.queries[0].words
-    a = model_forward(model, [tokens])
-    b = model_forward(model, [tokens])
+    a = model_forward(model, query_inputs(model, [tokens]))
+    b = model_forward(model, query_inputs(model, [tokens]))
     for x, y in zip(a[:3], b[:3]):
         assert np.array_equal(x.data, y.data)
 
@@ -544,7 +546,7 @@ def test_model_forward_emission_widths_at_100_units():
     assert pos_head.crf.feature_size == 100
     assert type_head.crf.feature_size == 200
     assert schema_head.crf.feature_size == 200
-    g_pos, g_type, g_schema, _ = model_forward(model, [ds.queries[0].words])
+    g_pos, g_type, g_schema, _ = model_forward(model, query_inputs(model, [ds.queries[0].words]))
     assert g_pos.shape == (3, model.vocabs[TagLevel.POS].size)
     assert g_type.shape == (3, model.vocabs[TagLevel.TYPE].size)
     assert g_schema.shape == (3, model.vocabs[TagLevel.SCHEMA].size)
@@ -565,7 +567,7 @@ def test_all_dropped_masks_leave_only_biases():
     for head in model.heads:
         head.crf.emit_bias.data[:] = RNG(9).standard_normal((1, head.crf.tag_count))
     g_pos, g_type, g_schema, _ = model_forward(
-        model, [ds.queries[0].words], mask_stream=AllDropped()
+        model, query_inputs(model, [ds.queries[0].words]), mask_stream=AllDropped()
     )
     for head, G in zip(model.heads, (g_pos, g_type, g_schema)):
         assert np.allclose(G.data, np.tile(head.crf.emit_bias.data, (3, 1)), atol=1e-15)
@@ -575,8 +577,8 @@ def test_total_loss_schema_only_weighting():
     ds, model = tiny_setup()
     model.weights = TaskWeights(0.0, 0.0, 1.0)
     query = ds.queries[0]
-    loss, _, _ = total_loss(model, [query])
-    _, _, g_schema, tape = model_forward(model, [query.words])
+    loss, _, _ = total_loss(model, prepare_queries(model, [query]))
+    _, _, g_schema, tape = model_forward(model, query_inputs(model, [query.words]))
     want = crf_nll(
         model.heads[2].crf,
         g_schema,
@@ -599,7 +601,7 @@ def test_total_loss_uniform_weights_on_equal_nlls():
     k = model.vocabs[TagLevel.POS].size
     assert all(model.vocabs[lvl].size == k for lvl in TagLevel)
     v = 2 * np.log(k)
-    loss, _, _ = total_loss(model, [ds.queries[0]])
+    loss, _, _ = total_loss(model, prepare_queries(model, [ds.queries[0]]))
     assert loss.item() == v
 
 
@@ -607,8 +609,8 @@ def test_total_loss_paper_weights_exact_composition():
     ds, model = tiny_setup()
     model.weights = TaskWeights(0.1, 0.2, 0.7)
     query = ds.queries[0]
-    loss, _, _ = total_loss(model, [query])
-    g_pos, g_type, g_schema, _ = model_forward(model, [query.words])
+    loss, _, _ = total_loss(model, prepare_queries(model, [query]))
+    g_pos, g_type, g_schema, _ = model_forward(model, query_inputs(model, [query.words]))
     parts = []
     for head, G in zip(model.heads, (g_pos, g_type, g_schema)):
         gold = [model.vocabs[head.level].index_of(t) for t in query.tags(head.level)]
@@ -623,7 +625,7 @@ def test_total_loss_rejects_unknown_tag():
         tokens=(Token(text="unknown", pos="NN", type_tag="TABLE", schema_tag="people"),)
     )
     with pytest.raises(KeyError, match="people"):
-        total_loss(model, [bad])
+        total_loss(model, prepare_queries(model, [bad]))
 
 
 def test_total_loss_gradients_match_fd():
@@ -648,7 +650,9 @@ def test_tape_length_does_not_grow_with_query_length(
     longest = next(q for q in fixture_corpus.queries if len(q) == 10)
     short = AnnotatedQuery(tokens=longest.tokens[:3])
     for stream in (None, MaskStream(0.5, RNG(0))):
-        lengths = {len(total_loss(model, [q], stream)[2]) for q in (short, longest)}
+        lengths = {
+            len(total_loss(model, prepare_queries(model, [q]), stream)[2]) for q in (short, longest)
+        }
         assert len(lengths) == 1
 
 
@@ -669,7 +673,7 @@ def test_single_head_loss_is_its_crf_nll(name):
         return value.item(), [p.grad for _, p in net.parameters()]
 
     def nll():
-        emissions, tape = model_forward(net, [query.words])
+        emissions, tape = model_forward(net, query_inputs(net, [query.words]))
         return crf_nll(head.crf, emissions, [gold], tape), tape
 
     want, want_grads = value_and_grads(nll)
@@ -692,7 +696,7 @@ def test_st_bi_train_forward_draws_masks_layer_by_layer(monkeypatch):
 
     monkeypatch.setattr(nm, "dropout", spy)
     rng = RNG(11)
-    model_forward(net, [words], mask_stream=MaskStream(0.5, rng))
+    model_forward(net, query_inputs(net, [words]), mask_stream=MaskStream(0.5, rng))
     replay_rng = RNG(11)
     replay = MaskStream(0.5, replay_rng)
     for _ in range(4):  # forward, backward recurrent mask of each bi-GRU layer
@@ -746,7 +750,7 @@ def test_decoding_records_no_tape(monkeypatch):
         raise AssertionError("decoding built a tape")
 
     monkeypatch.setattr(tagger, "Tape", no_tape)
-    assert model_forward(model, [words], record=False)[3] is None
+    assert model_forward(model, query_inputs(model, [words]), record=False)[3] is None
     assert (tag_query(model, words), model.predict_tags([words]), stage.predict_tags([words])) == expected
     assert expected[1] == [[t.schema_tag for t in expected[0].tokens]]
 
@@ -760,8 +764,8 @@ def test_save_load_roundtrip_bit_exact():
         assert np.array_equal(a.data, b.data)
     assert save_model(again) == blob
     tokens = ds.queries[0].words
-    first = model_forward(model, [tokens])[2].data
-    second = model_forward(again, [tokens])[2].data
+    first = model_forward(model, query_inputs(model, [tokens]))[2].data
+    second = model_forward(again, query_inputs(again, [tokens]))[2].data
     assert np.array_equal(first, second)
 
 
@@ -828,14 +832,14 @@ def test_layers_and_model_check_the_widths_they_chain():
     pos, type_, schema = model.heads
     encoder = [("shared", model.encoder[0][1])]
 
-    def assemble(encoder, heads, extra_features=None):
-        return DBTaggerModel(
-            model.embeddings, encoder, heads, model.vocabs, model.weights, 0.5, extra_features
-        )
+    def assemble(encoder, heads, previous=None, vocabs=model.vocabs):
+        return DBTaggerModel(model.embeddings, encoder, heads, vocabs, model.weights, 0.5, previous)
 
     assemble(encoder, [pos, type_, schema])
+    three_tags = {**model.vocabs, TagLevel.POS: TagVocab(TagLevel.POS, ("a", "b", "c"))}
+    previous = assemble([], [TaskHead(TagLevel.POS, None, fresh_crf(3, 4, RNG(0)))], vocabs=three_tags)
     with pytest.raises(nm.ShapeError, match="shared takes 4 inputs, gets 7"):
-        assemble(encoder, [pos], extra_features=(3, None))
+        assemble(encoder, [pos], previous=previous)
     with pytest.raises(nm.ShapeError, match="enc1 takes 3 inputs, gets 10"):
         assemble(encoder + [("enc1", cell)], [pos])
     with pytest.raises(nm.ShapeError, match="POS GRU takes 10 inputs, gets 4"):
@@ -971,7 +975,7 @@ def test_packed_emissions_equal_single_query_emissions(
     size, fixture_corpus, imdb_subset, fixture_embeddings
 ):
     model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings)
-    sentences = [q.words for q in fixture_corpus.queries]
+    sentences = query_inputs(model, [q.words for q in fixture_corpus.queries])
     alone = [model_forward(model, [s], record=False)[:3] for s in sentences]
     for start in range(0, len(sentences), size):
         chunk = sentences[start : start + size]
@@ -1008,6 +1012,7 @@ def test_chunk_gradient_equals_sum_of_query_gradients(
     assert len({len(q) for q in chunk}) > 2
     stream = (lambda: MaskStream(0.5, RNG(3))) if dropout else (lambda: None)
 
+    chunk = prepare_queries(model, chunk)
     values, grads = _gradients(model, lambda: total_loss(model, chunk, stream()))
     per_query = stream()
     want_values, want = [], [np.zeros(p.shape) for _, p in model.parameters()]
@@ -1112,7 +1117,7 @@ def test_seeded_chunk_draws_the_per_query_dropout_masks(name, monkeypatch):
     ds, base = tiny_setup()
     config = TrainConfig(hidden=3, seed=2)
     (net,) = variants.make_variant(name, base.vocabs, base.embeddings, config)
-    sentences = [q.words for q in ds.queries] * 2
+    sentences = query_inputs(net, [q.words for q in ds.queries] * 2)
     seen = []
     real_gru, real_dropout = tagger.gru_sequence, nm.dropout
 
@@ -1154,7 +1159,9 @@ def test_tape_length_does_not_depend_on_chunk_size_or_lengths(
     # 5 GRU layers, the encoder concat, 3 emissions, 3 CRF losses and their
     # weighted sum; training with masks adds the encoder dropout
     for stream, records in ((None, 13), (MaskStream(0.5, RNG(0)), 14)):
-        assert {len(total_loss(model, c, stream)[2]) for c in chunks} == {records}
+        assert {len(total_loss(model, prepare_queries(model, c), stream)[2]) for c in chunks} == {
+            records
+        }
 
 
 @pytest.mark.parametrize("dropout", [False, True])
@@ -1163,6 +1170,7 @@ def test_total_loss_gradients_equal_the_record_by_record_loss_bit_for_bit(
 ):
     model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=5)
     chunks = [list(fixture_corpus.queries[:16]), _ragged_chunk(fixture_corpus)]
+    chunks = [prepare_queries(model, chunk) for chunk in chunks]
 
     def run(loss_fn):
         for _, p in model.parameters():
@@ -1185,13 +1193,13 @@ def test_decoding_computes_only_the_emissions_it_reads(
     model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=8)
     chunk = [q.words for q in fixture_corpus.queries[:16]]
     lengths = [len(s) for s in chunk]
-    full = model_forward(model, chunk, record=False)[:3]
+    full = model_forward(model, query_inputs(model, chunk), record=False)[:3]
     want_schema = [
         [model.vocabs[TagLevel.SCHEMA].symbols[i] for i in tags]
         for tags, _ in viterbi_decode(model.heads[2].crf, full[2], lengths)
     ]
     words = chunk[0]
-    alone = model_forward(model, [words], record=False)[:3]
+    alone = model_forward(model, query_inputs(model, [words]), record=False)[:3]
     want_tagged = [
         [model.vocabs[level].symbols[i] for i in viterbi_decode(model.heads[h].crf, alone[h])[0][0]]
         for h, level in ((1, TagLevel.TYPE), (2, TagLevel.SCHEMA))
@@ -1244,7 +1252,7 @@ def test_decode_makes_one_forward_pass_per_chunk(
         return real_forward(model, chunk, *args, **kwargs)
 
     monkeypatch.setattr(tagger, "model_forward", counting_forward)
-    tags = tagger.decode(model, sentences, (TagLevel.TYPE, TagLevel.SCHEMA))
+    tags = tagger.decode(model, query_inputs(model, sentences), (TagLevel.TYPE, TagLevel.SCHEMA))
     assert chunk_sizes == [16, 16, 8]
     for level in (TagLevel.TYPE, TagLevel.SCHEMA):
         assert [len(t) for t in tags[level]] == [len(s) for s in sentences]

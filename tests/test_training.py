@@ -5,11 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from dbtagger import training, variants
-from dbtagger.corpus import Dataset, TagLevel, build_tag_vocab, parse_corpus
+from dbtagger import tagger, training, variants
+from dbtagger.corpus import Dataset, TagLevel, TagVocab, build_tag_vocab, parse_corpus
 from dbtagger.embeddings import EmbeddingTable
 from dbtagger.numerics import Tensor
-from dbtagger.tagger import DBTaggerModel, TaskWeights
+from dbtagger.tagger import DBTaggerModel, TaskWeights, prepare_queries
 from dbtagger.training import (
     AdadeltaState,
     NadamState,
@@ -234,8 +234,48 @@ def test_non_finite_loss_aborts_with_diagnostics():
     model = _mini_model(ds, hidden=4)
     crf = model.heads[-1].crf
     crf.transitions.data[crf.start_index, 0] = np.nan
-    with pytest.raises(TrainingError, match="non-finite loss"):
+    with pytest.raises(TrainingError, match="non-finite loss .* on query 'movie'"):
         train(model, ds, TrainConfig(hidden=4, epochs=1, switch_epoch=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "name, stage, embeds_per_query, lookups_per_token", [("DBTagger", 0, 1, 3), ("MT_Seq", 1, 2, 2)]
+)
+def test_a_fit_prepares_each_query_once(
+    name, stage, embeds_per_query, lookups_per_token,
+    fixture_corpus, imdb_subset, fixture_embeddings, monkeypatch,
+):
+    """Inputs and gold indices are derived once per fit, whatever the epoch
+    count.  The full model looks up each token's gold tag at its three
+    heads.  MT_Seq's second stage embeds each query twice, once for itself
+    and once for its first stage's decode, and looks up one gold and one
+    predicted tag per token; that first stage need not be trained."""
+    train_ds = Dataset(queries=fixture_corpus.queries[:6], name="six")
+    val_ds = Dataset(queries=fixture_corpus.queries[6:9], name="three")
+    vocabs = variants.build_vocabs(fixture_corpus, imdb_subset)
+    counts = {"embed": 0, "index": 0}
+    real_embed, real_index = tagger.embed_query, TagVocab.index_of
+
+    def counting_embed(table, tokens):
+        counts["embed"] += 1
+        return real_embed(table, tokens)
+
+    def counting_index(self, symbol):
+        counts["index"] += 1
+        return real_index(self, symbol)
+
+    monkeypatch.setattr(tagger, "embed_query", counting_embed)
+    monkeypatch.setattr(TagVocab, "index_of", counting_index)
+    seen = []
+    for epochs in (1, 3):
+        config = TrainConfig(hidden=4, epochs=epochs, switch_epoch=1, seed=3)
+        model = variants.make_variant(name, vocabs, fixture_embeddings, config)[stage]
+        counts.update(embed=0, index=0)
+        train(model, train_ds, config, val=val_ds)
+        seen.append(dict(counts))
+    tokens = sum(len(q) for q in train_ds.queries + val_ds.queries)
+    want = {"embed": embeds_per_query * 9, "index": lookups_per_token * tokens}
+    assert seen == [want, want]
 
 
 def test_cross_validate_twelve_queries(fixture_corpus, imdb_subset, fixture_embeddings):
@@ -302,7 +342,7 @@ def test_cv_mean_accuracy_stable_across_seeds(
 def test_token_accuracy_horizon(table1_text):
     ds = parse_corpus(table1_text)
     model = _mini_model(ds)
-    acc = token_accuracy(model, ds)
+    acc = token_accuracy(model, prepare_queries(model, ds.queries))
     assert 0.0 <= acc <= 1.0
 
 

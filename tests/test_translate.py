@@ -10,7 +10,9 @@ from dbtagger.translate import (
     mappings_from_tags,
     render_sql,
 )
-from oracles import edge_pairs, random_schema_graph, sql_grammar_ok, steiner_min_edges
+from oracles import (
+    edge_pairs, join_path_by_min_winner, random_schema_graph, sql_grammar_ok, steiner_min_edges,
+)
 
 TABLE1_SQL = (
     "SELECT * FROM cast JOIN movie ON cast.movie_id = movie.id "
@@ -127,6 +129,21 @@ def test_join_path_matches_steiner_oracle_sample():
         except JoinPathError:
             got = None
         assert got == want
+
+
+def test_join_path_keeps_the_min_winner_tie_break():
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        _, graph = random_schema_graph(rng, max_tables=9)
+        nodes = list(graph.nodes)
+        k = int(rng.integers(1, min(4, len(nodes)) + 1))
+        required = list(rng.choice(nodes, size=k, replace=False))
+        try:
+            path = infer_join_path(graph, mapping_tables(*required))
+            got = (path.tables, path.joins)
+        except JoinPathError:
+            got = None
+        assert got == join_path_by_min_winner(graph, required)
 
 
 def test_render_table1_sql(table1_query, imdb_subset):
