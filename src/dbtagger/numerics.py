@@ -1,14 +1,15 @@
-"""Dense float64 matrix primitives with reverse-mode differentiation.
+"""Rank-2 float64 tensors, the tape of reverse-mode differentiation, and
+the blocked product ``gemm``.
 
 Everything is a rank-2 array (scalars are 1x1, vectors are rows or
-columns).  Primitives optionally record onto an explicit tape; a tape is
-an execution-ordered list of records, so reversing it is already a valid
-topological order for accumulating vector-Jacobian products.  A tape is
-single-threaded; independent tapes can run concurrently.
+columns).  A computation optionally records onto an explicit tape; a tape
+is an execution-ordered list of records, so reversing it is already a
+valid topological order for accumulating vector-Jacobian products.  A tape
+is single-threaded; independent tapes can run concurrently.
 
-Only the primitives the model records live here: the blocked product
-``gemm``, ``concat`` and ``dropout``.  The fused GRU, emission, CRF-loss
-and weighted-loss records are in ``tagger``.
+The records are fused ones with hand-written VJPs, all in ``tagger``: one
+per GRU layer, emission map and CRF loss, and one for the weighted sum of
+the losses.
 """
 
 from __future__ import annotations
@@ -145,31 +146,4 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a[:, :inner] @ b[:inner]
     for j in range(inner, k, inner):
         out += a[:, j : j + inner] @ b[j : j + inner]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-
-def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
-    """Join tensors of the same height side by side, column blocks in order."""
-    if not parts:
-        raise ShapeError("concat: no parts")
-    if len({p.shape[0] for p in parts}) != 1:
-        raise ShapeError(f"concat: mismatched heights {[p.shape for p in parts]}")
-    out = Tensor(np.hstack([p.data for p in parts]))
-    if tape is not None:
-        ends = np.cumsum([p.shape[1] for p in parts])
-        tape.record(out, tuple(parts), lambda g: tuple(np.hsplit(g, ends[:-1])))
-    return out
-
-
-def dropout(t: Tensor, mask: np.ndarray, tape: Tape | None = None) -> Tensor:
-    """Apply a precomputed (inverted-scale) dropout mask elementwise."""
-    if mask.shape != t.data.shape:
-        raise ShapeError(f"dropout: mask shape {mask.shape} != value shape {t.shape}")
-    out = Tensor(t.data * mask)
-    if tape is not None:
-        tape.record(out, (t,), lambda g: (g * mask,))
     return out

@@ -5,10 +5,12 @@ variant are configurations of this one network.
 
 The network runs over a chunk of queries at once, packed time-major: row
 ``t*B + b`` of every activation holds token t of query b, so activations
-stay rank-2 and one query is the B=1 case.  A whole GRU layer, a head's
-emissions, a head's CRF loss and the task-weighted sum of the losses are
-each registered on the tape as one fused primitive per chunk with a
-hand-derived vector-Jacobian product (the CRF loss gradient is the classic
+stay rank-2 and one query is the B=1 case.  Every GRU runs through
+``gru_layer``.  A whole GRU layer (both directions of a bi-directional one,
+and in training the encoder-output dropout), a head's emissions, a head's
+CRF loss and the task-weighted sum of the losses are each registered on
+the tape as one fused primitive per chunk with a hand-derived
+vector-Jacobian product (the CRF loss gradient is the classic
 forward-backward marginals minus the gold-path counts); their correctness
 is pinned by finite-difference and enumeration tests.
 """
@@ -93,7 +95,7 @@ class GruCell:
                 "stack as (3u x d), (3u x u), (3u x 1) with u >= 1"
             )
         self.input_size = input.shape[1]
-        self.hidden_size = self.output_size = u
+        self.hidden_size = u
         self.input = Tensor(input)
         self.recurrent = Tensor(recurrent)
         self.bias = Tensor(bias)
@@ -116,38 +118,15 @@ def fresh_gru(input_size: int, hidden_size: int, rng: np.random.Generator) -> Gr
     return GruCell(np.vstack(blocks[0::2]), np.vstack(blocks[1::2]), np.zeros((3 * u, 1)))
 
 
-def gru_sequence(
-    cell: GruCell,
-    X,
-    tape: Tape | None = None,
-    rec_mask: np.ndarray | None = None,
-    reverse: bool = False,
-    lengths=None,
-) -> Tensor:
+def _gru_kernel(cell: GruCell, Xd: np.ndarray, layout, rec_mask, reverse: bool, x_grad: bool):
     """Run the cell from a zero state over each query of a packed (L*B x d)
-    input and return the packed (L*B x u) states; ``reverse`` walks each
-    query last token to first.
-
-    ``lengths`` gives the B query lengths (default: one query of all rows).
-    A state updates only at its query's own tokens, so the reverse walk
-    starts at each query's last token; padding rows come out zero and pass
-    no gradient.  ``X`` is a constant array or a Tensor; a Tensor receives
-    its gradient.  ``rec_mask`` (u x B), when given, drops entries of query
-    b's previous state (by column b) wherever it feeds a weight matrix; the
-    interpolation path keeps the unmasked state (variational recurrent
-    dropout).
-
-    The whole chunk is one tape record, which keeps the input, the states
-    and the gates.  Every product goes through ``gemm`` (see README).
-    """
-    u, d = cell.hidden_size, cell.input_size
-    x_const = not isinstance(X, Tensor)
-    Xd = np.asarray(X, dtype=np.float64) if x_const else X.data
-    if Xd.ndim != 2 or Xd.shape[0] == 0 or Xd.shape[1] != d:
-        raise nm.ShapeError(f"gru_sequence: input shape {Xd.shape}, expected (n, {d})")
-    L, B, valid = _layout(Xd.shape[0], lengths)
-    if rec_mask is not None and rec_mask.shape != (u, B):
-        raise nm.ShapeError(f"gru_sequence: mask shape {rec_mask.shape}, expected {(u, B)}")
+    input laid out as ``_layout`` gives (L, B, mask), walking each query
+    last token to first when ``reverse``.  Returns the packed (L*B x u)
+    states and their VJP, which maps the states' gradient to the gradients
+    of the input (only when ``x_grad``), then of ``input``, ``recurrent``
+    and ``bias``.  ``rec_mask`` is as in ``gru_layer``."""
+    u = cell.hidden_size
+    L, B, valid = layout
     # views of the stored gates; nothing here copies a parameter
     U, W = cell.input.data, cell.recurrent.data
     W_zr, W_c = W[: 2 * u], W[2 * u :]
@@ -179,9 +158,6 @@ def gru_sequence(
         out[rows] = h
     if valid is not None:
         out *= valid  # padding rows are zero
-    result = Tensor(out)
-    if tape is None:
-        return result
 
     def vjp(g):
         if valid is not None:
@@ -226,48 +202,78 @@ def gru_sequence(
         dW[: 2 * u] = gemm(D[lead, : 2 * u].T, fed[lag])
         dW[2 * u :] = gemm(D[:, 2 * u :].T, reset_fed)
         grads = (gemm(D.T, Xd), dW, D.sum(axis=0)[:, None])
-        return grads if x_const else (gemm(D, U), *grads)
+        return (gemm(D, U), *grads) if x_grad else grads
 
-    params = (cell.input, cell.recurrent, cell.bias)
-    tape.record(result, params if x_const else (X, *params), vjp)
-    return result
+    return out, vjp
 
 
-class BiGruLayer:
-    def __init__(self, fwd: GruCell, bwd: GruCell):
-        if fwd.input.shape != bwd.input.shape:
-            raise nm.ShapeError(f"bi-GRU directions differ: {fwd.input.shape} vs {bwd.input.shape}")
-        self.input_size = fwd.input_size
-        self.hidden_size = fwd.hidden_size
-        self.output_size = 2 * fwd.hidden_size
-        self.forward_cell = fwd
-        self.backward_cell = bwd
-
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return self.forward_cell.parameters(f"{prefix}.fwd") + self.backward_cell.parameters(
-            f"{prefix}.bwd"
-        )
-
-
-def fresh_bigru(input_size: int, hidden_size: int, rng: np.random.Generator) -> BiGruLayer:
-    """Two fresh cells, the forward one drawn first."""
-    return BiGruLayer(*(fresh_gru(input_size, hidden_size, rng) for _ in range(2)))
-
-
-def bigru_forward(
-    layer: BiGruLayer,
+def gru_layer(
+    layer: tuple[GruCell, ...],
     X,
     tape: Tape | None = None,
-    rec_masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+    rec_masks=None,
     lengths=None,
+    out_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Encode a packed (L*B x d) input into (L*B x 2u): forward and backward
-    states side by side per token, both directions starting from a zero
-    state at their query's own ends.  A Tensor input receives its gradient;
-    a raw array is a constant."""
-    fwd = gru_sequence(layer.forward_cell, X, tape, rec_masks[0], lengths=lengths)
-    bwd = gru_sequence(layer.backward_cell, X, tape, rec_masks[1], reverse=True, lengths=lengths)
-    return nm.concat([fwd, bwd], tape)
+    """Run a GRU layer, a forward cell or a forward and a reverse cell, from
+    a zero state over each query of a packed (L*B x d) input and return the
+    packed states, the cells' side by side (L*B x Σu).
+
+    ``lengths`` gives the B query lengths (default: one query of all rows).
+    A state updates only at its query's own tokens, so the reverse cell
+    starts at each query's last token; padding rows come out zero and pass
+    no gradient.  ``X`` is a constant array or a Tensor; a Tensor receives
+    its gradient.  ``rec_masks``, when given, holds a (u x B) mask per cell
+    that drops entries of query b's previous state (by column b) wherever it
+    feeds a weight matrix; the interpolation path keeps the unmasked state
+    (variational recurrent dropout).  ``out_mask`` (B x Σu), when given,
+    scales each query's output states (the encoder-output dropout).
+
+    The whole layer over the chunk is one tape record, which keeps the
+    input, the states and the gates.  It lists a Tensor input once per
+    cell, the reverse cell's first, so that its grad slot sums the two
+    directions in the order two records of their own would.  Every product
+    goes through ``gemm`` (see README).
+    """
+    x_const = not isinstance(X, Tensor)
+    Xd = np.asarray(X, dtype=np.float64) if x_const else X.data
+    takes = [cell.input_size for cell in layer]
+    if not 1 <= len(layer) <= 2 or Xd.ndim != 2 or not len(Xd) or {Xd.shape[1]} != set(takes):
+        raise nm.ShapeError(f"gru_layer: input shape {Xd.shape} for cells taking {takes}")
+    layout = L, B, _ = _layout(Xd.shape[0], lengths)
+    widths = [cell.hidden_size for cell in layer]
+    rec = list(rec_masks or [None] * len(layer))
+    masks, shapes = [*rec, out_mask], [(u, B) for u in widths] + [(B, sum(widths))]
+    if len(rec) != len(layer) or any(m is not None and m.shape != s for m, s in zip(masks, shapes)):
+        given = [None if m is None else m.shape for m in masks]
+        raise nm.ShapeError(f"gru_layer: masks of shapes {given}, expected {shapes}")
+    runs = []
+    for i, (cell, mask) in enumerate(zip(layer, rec)):
+        states, run = _gru_kernel(cell, Xd, layout, mask, i == 1, not x_const)
+        runs.append((states, None if tape is None else run))
+        del run  # untaped, a cell's gates are freed before the next cell runs
+    value = runs[0][0] if len(runs) == 1 else np.hstack([states for states, _ in runs])
+    if out_mask is not None:
+        out_mask = np.tile(out_mask, (L, 1))
+        value = value * out_mask
+    result = Tensor(value)
+    if tape is None:
+        return result
+
+    def vjp(g):
+        if out_mask is not None:
+            g = g * out_mask
+        parts = np.hsplit(g, np.cumsum(widths)[:-1])
+        grads = []
+        while runs:  # drop each cell's saved gates once its gradients are out
+            _, run = runs.pop()
+            grads += run(parts[len(runs)])
+        return grads
+
+    x = () if x_const else (X,)
+    inputs = [t for cell in layer[::-1] for t in (*x, cell.input, cell.recurrent, cell.bias)]
+    tape.record(result, tuple(inputs), vjp)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +550,12 @@ class MaskStream:
         self.rate = rate
         self._rng = rng
 
-    def row(self, width: int) -> np.ndarray:
+    def draw(self, count: int, width: int) -> np.ndarray:
+        """A (count x width) mask, drawn row after row."""
         if self.rate == 0.0:
-            return np.ones((1, width))
-        keep = (self._rng.random(width) >= self.rate).astype(np.float64)
-        return (keep / (1.0 - self.rate)).reshape(1, width)
-
-    def column(self, height: int) -> np.ndarray:
-        return self.row(height).reshape(height, 1)
+            return np.ones((count, width))
+        keep = (self._rng.random((count, width)) >= self.rate).astype(np.float64)
+        return keep / (1.0 - self.rate)
 
 
 HEAD_ORDER = (TagLevel.POS, TagLevel.TYPE, TagLevel.SCHEMA)
@@ -562,7 +566,9 @@ class DBTaggerModel:
     TYPE, SCHEMA order, with each head's states concatenated into the next
     head's emission features.
 
-    ``encoder`` holds (parameter prefix, GruCell | BiGruLayer) pairs.
+    ``encoder`` holds (parameter prefix, layer) pairs, a layer being the
+    cells ``gru_layer`` runs: one, or a forward and a reverse one whose
+    parameters are named ``<prefix>.fwd`` and ``<prefix>.bwd``.
     ``previous``, for an MT_Seq stage, is the stage before it: the network
     reads the tags that stage predicts as one-hot columns beside the word
     vectors (``query_inputs``).  The full model (``build``) is one shared
@@ -573,7 +579,7 @@ class DBTaggerModel:
     def __init__(
         self,
         embeddings: EmbeddingTable,
-        encoder: list[tuple[str, GruCell | BiGruLayer]],
+        encoder: list[tuple[str, tuple[GruCell, ...]]],
         heads: list[TaskHead],
         vocabs: dict[TagLevel, TagVocab],
         weights: TaskWeights,
@@ -590,8 +596,9 @@ class DBTaggerModel:
 
         width = embeddings.dimension + (previous.tag_vocab.size if previous else 0)
         for prefix, layer in encoder:
-            check(prefix, layer.input_size, width)
-            width = layer.output_size
+            for cell in layer:
+                check(prefix, cell.input_size, width)
+            width = sum(cell.hidden_size for cell in layer)
         skip = 0  # the previous head's state width
         for head in heads:
             states = width if head.cell is None else head.cell.hidden_size
@@ -610,6 +617,8 @@ class DBTaggerModel:
         self.vocabs = vocabs
         self.weights = weights
         _check_dropout_rate(dropout_rate)
+        if previous is not None and previous.embeddings is not embeddings:
+            raise ValueError("a stage must share its previous stage's embedding table")
         self.dropout_rate = dropout_rate
         self.previous = previous
 
@@ -633,12 +642,13 @@ class DBTaggerModel:
 
     @property
     def hidden_size(self) -> int:
-        return self.encoder[0][1].hidden_size
+        return self.encoder[0][1][0].hidden_size
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         params = []
         for prefix, layer in self.encoder:
-            params += layer.parameters(prefix)
+            for cell, direction in zip(layer, ("fwd", "bwd")):
+                params += cell.parameters(prefix if len(layer) == 1 else f"{prefix}.{direction}")
         for head in self.heads:
             params += head.parameters()
         return params
@@ -667,7 +677,7 @@ def _full_model(embeddings, vocabs, hidden, weights, dropout_rate, layer) -> DBT
     (sizes: input, hidden) and CrfLayer (sizes: tags, features), in
     parameter order, from its parameter name prefix and its sizes."""
     d, u = embeddings.dimension, hidden
-    shared = BiGruLayer(layer(GruCell, "shared.fwd", d, u), layer(GruCell, "shared.bwd", d, u))
+    shared = (layer(GruCell, "shared.fwd", d, u), layer(GruCell, "shared.bwd", d, u))
     heads = []
     for i, level in enumerate(HEAD_ORDER):
         prefix = f"head.{level.value}"
@@ -678,39 +688,38 @@ def _full_model(embeddings, vocabs, hidden, weights, dropout_rate, layer) -> DBT
 
 
 def _draw_masks(model: DBTaggerModel, stream: MaskStream, count: int):
-    """Dropout masks for a chunk of ``count`` queries, drawn query by query
-    in the order one query draws them: each encoder layer's recurrent masks
-    (a bi-directional layer's forward, then backward), then the encoder
-    output mask.  Returns per layer a tuple of (u x B) column masks, one per
-    direction, and the (B x width) output rows."""
-    width = model.encoder[-1][1].output_size
-    directions = [2 if isinstance(layer, BiGruLayer) else 1 for _, layer in model.encoder]
-    drawn = []  # per query: its recurrent masks layer by layer, then its output row
-    for _ in range(count):
-        recurrent = [
-            [stream.column(layer.hidden_size) for _ in range(n)]
-            for (_, layer), n in zip(model.encoder, directions)
-        ]
-        drawn.append((recurrent, stream.row(width)))
-    per_layer = [
-        tuple(np.hstack([recurrent[i][j] for recurrent, _ in drawn]) for j in range(n))
-        for i, n in enumerate(directions)
-    ]
-    return per_layer, np.vstack([row for _, row in drawn])
+    """Dropout masks for a chunk of ``count`` queries, drawn as one block
+    whose row b holds query b's masks in the order one query draws them:
+    each encoder cell's recurrent mask (a layer's forward cell first), then
+    the encoder output mask.  Returns per encoder layer its cells' (u x B)
+    recurrent masks and its (B x width) output mask, None but on the last."""
+    sizes = [[cell.hidden_size for cell in layer] for _, layer in model.encoder]
+    flat = [u for layer in sizes for u in layer] + [sum(sizes[-1])]
+    parts = iter(np.hsplit(stream.draw(count, sum(flat)), np.cumsum(flat)[:-1]))
+    masks = [[tuple(next(parts).T for _ in layer), None] for layer in sizes]
+    masks[-1][1] = next(parts)
+    return masks
 
 
 def query_inputs(model: DBTaggerModel, sentences: list[list[str]]) -> list[np.ndarray]:
     """What the network reads of each sentence, one (n x width) matrix: the
     word vectors and, for a model with a ``previous`` stage, the tags that
-    stage predicts as one-hot columns beside them."""
-    inputs = [embed_query(model.embeddings, s) for s in sentences]
-    if model.previous is None:
-        return inputs
-    vocab = model.previous.tag_vocab
-    for i, tags in enumerate(model.previous.predict_tags(sentences)):
-        one_hot = np.zeros((len(tags), vocab.size))
-        one_hot[np.arange(len(tags)), [vocab.index_of(t) for t in tags]] = 1.0
-        inputs[i] = np.hstack([inputs[i], one_hot])
+    stage predicts as one-hot columns beside them.  The sentences are
+    embedded once, in the table every stage of a chain shares, and each
+    earlier stage decodes them once, the first stage first."""
+    chain = [model]
+    while chain[-1].previous is not None:
+        chain.append(chain[-1].previous)
+    words = [embed_query(model.embeddings, s) for s in sentences]
+    inputs = words
+    for stage in chain[:0:-1]:
+        level, vocab = stage.heads[-1].level, stage.tag_vocab
+        tagged = decode(stage, inputs, (level,))[level]
+        inputs = []
+        for vectors, tags in zip(words, tagged):
+            one_hot = np.zeros((len(tags), vocab.size))
+            one_hot[np.arange(len(tags)), [vocab.index_of(t) for t in tags]] = 1.0
+            inputs.append(np.hstack([vectors, one_hot]))
     return inputs
 
 
@@ -735,23 +744,15 @@ def model_forward(
     empty encoder draws no mask.
     """
     lengths = [len(x) for x in inputs]
-    train = mask_stream is not None and bool(model.encoder)
     tape = Tape() if record else None
-    X = pack(inputs)
-    if train:
-        layer_masks, out_rows = _draw_masks(model, mask_stream, len(inputs))
-
-    H = X
-    for i, (_, layer) in enumerate(model.encoder):
-        if isinstance(layer, BiGruLayer):
-            masks = layer_masks[i] if train else (None, None)
-            H = bigru_forward(layer, H, tape, masks, lengths)
-        else:
-            H = gru_sequence(layer, H, tape, layer_masks[i][0] if train else None, lengths=lengths)
+    masks = [(None, None)] * len(model.encoder)
+    if mask_stream is not None and model.encoder:
+        masks = _draw_masks(model, mask_stream, len(inputs))
+    H = pack(inputs)
+    for (_, layer), (rec_masks, out_mask) in zip(model.encoder, masks):
+        H = gru_layer(layer, H, tape, rec_masks, lengths, out_mask)
     if not model.encoder:
-        H = Tensor(X)
-    elif train:
-        H = nm.dropout(H, np.tile(out_rows, (max(lengths), 1)), tape)
+        H = Tensor(H)
 
     wanted = HEAD_ORDER if levels is None else levels
     emissions = []
@@ -761,7 +762,7 @@ def model_forward(
         feeds_next = i + 1 < len(model.heads) and model.heads[i + 1].level in wanted
         states = None
         if emit or feeds_next:
-            states = H if head.cell is None else gru_sequence(head.cell, H, tape, lengths=lengths)
+            states = H if head.cell is None else gru_layer((head.cell,), H, tape, lengths=lengths)
         if emit:
             parts = [states] if prev is None else [states, prev]
             emissions.append(head.crf.emissions(parts, tape))

@@ -17,7 +17,6 @@ from .tagger import (
     DBTaggerModel,
     TaskHead,
     TaskWeights,
-    fresh_bigru,
     fresh_crf,
     fresh_gru,
 )
@@ -53,6 +52,10 @@ def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config) -> list[
     u = config.hidden
     d = embeddings.dimension
     rng = np.random.default_rng(config.seed)
+
+    def layer(width: int, cells: int):  # a forward cell, then a reverse one
+        return tuple(fresh_gru(width, u, rng) for _ in range(cells))
+
     if name == "DBTagger":
         weights, rate = config.task_weights(), config.dropout
         return [DBTaggerModel.build(embeddings, vocabs, u, weights, rate, seed=config.seed)]
@@ -61,19 +64,17 @@ def make_variant(name: str, vocabs, embeddings: EmbeddingTable, config) -> list[
         for level in HEAD_ORDER:
             previous = stages[-1] if stages else None
             width = d + (previous.tag_vocab.size if previous else 0)
-            bi, uni = fresh_bigru(width, u, rng), fresh_gru(2 * u, u, rng)
+            encoder = [("enc0.bi", layer(width, 2)), ("enc1.uni", layer(2 * u, 1))]
             crf = fresh_crf(vocabs[level].size, u, rng)
-            encoder = [("enc0.bi", bi), ("enc1.uni", uni)]
             stage = _single_task(level, vocabs, embeddings, encoder, crf, config.dropout, previous)
             stages.append(stage)
         return stages
     if name == "CRF":
         encoder, width = [], d
     elif name == "ST_Uni":
-        encoder, width = [("enc0.uni", fresh_gru(d, u, rng)), ("enc1.uni", fresh_gru(u, u, rng))], u
+        encoder, width = [("enc0.uni", layer(d, 1)), ("enc1.uni", layer(u, 1))], u
     elif name == "ST_Bi":
-        encoder = [("enc0.bi", fresh_bigru(d, u, rng)), ("enc1.bi", fresh_bigru(2 * u, u, rng))]
-        width = 2 * u
+        encoder, width = [("enc0.bi", layer(d, 2)), ("enc1.bi", layer(2 * u, 2))], 2 * u
     else:
         raise ValueError(f"unknown variant {name!r}; choose from {', '.join(VARIANTS)}")
     crf = fresh_crf(vocabs[TagLevel.SCHEMA].size, width, rng)

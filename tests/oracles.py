@@ -125,6 +125,21 @@ def crf_nll_by_records(crf, emissions, tags, tape=None):
     return ops.add(log_z, ops.scale(gold, -1.0, tape), tape)
 
 
+def gru_layer_by_records(layer, X, tape=None, rec_masks=None, lengths=None, out_mask=None):
+    """``tagger.gru_layer`` as a record per cell, a ``concat`` of a
+    two-cell layer's states and a ``dropout`` of the output rows, tiled
+    over the time steps."""
+    rec_masks = rec_masks or (None,) * len(layer)
+    states = [
+        ops.gru_direction(cell, X, tape, mask, reverse=i == 1, lengths=lengths)
+        for i, (cell, mask) in enumerate(zip(layer, rec_masks))
+    ]
+    out = states[0] if len(states) == 1 else ops.concat(states, tape)
+    if out_mask is None:
+        return out
+    return ops.dropout(out, np.tile(out_mask, (out.shape[0] // len(out_mask), 1)), tape)
+
+
 def total_loss_by_records(model, examples, mask_stream=None):
     """``tagger.total_loss`` with every CRF loss as ``crf_nll_by_records``
     and the weighted sum as ``scale``, a left fold of ``add`` and

@@ -4,6 +4,7 @@ losses from; the package itself never calls them.  Each records onto a
 
 import numpy as np
 
+from dbtagger import tagger
 from dbtagger.numerics import ShapeError, Tape, Tensor
 
 
@@ -143,4 +144,42 @@ def logsumexp_rows(t: Tensor, tape: Tape | None = None) -> Tensor:
     if tape is not None:
         softmax = shifted / sums
         tape.record(out, (t,), lambda g: (g * softmax,))
+    return out
+
+
+def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
+    """Join tensors of the same height side by side, column blocks in order."""
+    if not parts:
+        raise ShapeError("concat: no parts")
+    if len({p.shape[0] for p in parts}) != 1:
+        raise ShapeError(f"concat: mismatched heights {[p.shape for p in parts]}")
+    out = Tensor(np.hstack([p.data for p in parts]))
+    if tape is not None:
+        ends = np.cumsum([p.shape[1] for p in parts])
+        tape.record(out, tuple(parts), lambda g: tuple(np.hsplit(g, ends[:-1])))
+    return out
+
+
+def dropout(t: Tensor, mask: np.ndarray, tape: Tape | None = None) -> Tensor:
+    """Apply a precomputed (inverted-scale) dropout mask elementwise."""
+    if mask.shape != t.data.shape:
+        raise ShapeError(f"dropout: mask shape {mask.shape} != value shape {t.shape}")
+    out = Tensor(t.data * mask)
+    if tape is not None:
+        tape.record(out, (t,), lambda g: (g * mask,))
+    return out
+
+
+def gru_direction(cell, X, tape: Tape | None = None, rec_mask=None, reverse=False, lengths=None):
+    """One cell's walk over a packed input, forward or ``reverse``, as a
+    record of its own over ``tagger``'s kernel; arguments as in
+    ``tagger.gru_layer``."""
+    x_const = not isinstance(X, Tensor)
+    Xd = np.asarray(X, dtype=np.float64) if x_const else X.data
+    layout = tagger._layout(Xd.shape[0], lengths)
+    states, vjp = tagger._gru_kernel(cell, Xd, layout, rec_mask, reverse, not x_const)
+    out = Tensor(states)
+    if tape is not None:
+        params = (cell.input, cell.recurrent, cell.bias)
+        tape.record(out, params if x_const else (X, *params), vjp)
     return out

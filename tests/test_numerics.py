@@ -119,7 +119,7 @@ def test_vjp_elementwise_and_structural():
         joined = ops.concat_rows([ops.sigmoid(a, tape), ops.tanh(b, tape)], tape)        # 4x3
         cut = ops.slice_(joined, (1, 4), (0, 3), tape)                                   # 3x3
         lifted = ops.matmul(ops.transpose(cut, tape), Tensor(w), tape)                    # 3x5
-        dropped = nm.dropout(ops.scale(lifted, 0.7, tape), mask, tape)
+        dropped = ops.dropout(ops.scale(lifted, 0.7, tape), mask, tape)
         return ops.sum_all(dropped, tape), tape
 
     assert _fd_for_op(build, [a, b]) < 1e-8
@@ -284,4 +284,4 @@ def test_every_public_numerics_name_is_used_elsewhere_in_the_package():
         if path.name != "numerics.py":
             used |= _names_used_from_numerics(ast.parse(path.read_text()))
     assert public - used == set()
-    assert {"Tensor", "Tape", "backward", "gemm", "concat"} <= public
+    assert public == {"ShapeError", "Tensor", "Tape", "backward", "gemm"}

@@ -14,7 +14,6 @@ from dbtagger.corpus import AnnotatedQuery, TagLevel, TagVocab, Token, build_tag
 from dbtagger.embeddings import EmbeddingTable
 from dbtagger.numerics import Tape, Tensor, backward
 from dbtagger.tagger import (
-    BiGruLayer,
     CrfLayer,
     DBTaggerModel,
     GruCell,
@@ -23,14 +22,12 @@ from dbtagger.tagger import (
     TaggedToken,
     TaskHead,
     TaskWeights,
-    bigru_forward,
     crf_log_partition,
     crf_nll,
     crf_score,
-    fresh_bigru,
     fresh_crf,
     fresh_gru,
-    gru_sequence,
+    gru_layer,
     load_model,
     merge_value_spans,
     model_forward,
@@ -49,6 +46,15 @@ import oracles
 from oracles import finite_diff_check
 
 RNG = np.random.default_rng
+
+
+def fresh_bigru(input_size, hidden_size, rng):
+    """A two-cell layer, the forward cell drawn first."""
+    return tuple(fresh_gru(input_size, hidden_size, rng) for _ in range(2))
+
+
+def layer_parameters(layer, prefix):
+    return [p for i, cell in enumerate(layer) for p in cell.parameters(f"{prefix}{i}")]
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +114,14 @@ def random_crf(n, k, seed, feature_size=3):
 # GRU
 
 
-# A one-row gru_sequence is a single GRU step from the zero state.
+# A one-row GRU layer is a single GRU step from the zero state.
 
 
 def test_gru_step_zero_everything():
     cell = fresh_gru(2, 3, RNG(0))
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
-    out = gru_sequence(cell, np.ones((1, 2)))
+    out = gru_layer((cell,), np.ones((1, 2)))
     assert np.array_equal(out.data, np.zeros((1, 3)))
 
 
@@ -124,7 +130,7 @@ def test_gru_step_candidate_bias_closed_form():
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
     cell.bias.data[2 * cell.hidden_size :] = 5.0  # the candidate rows
-    out = gru_sequence(cell, np.ones((1, 2)))
+    out = gru_layer((cell,), np.ones((1, 2)))
     assert np.allclose(out.data, 0.5 * np.tanh(5.0), atol=1e-15)
 
 
@@ -145,16 +151,16 @@ def test_gru_step_matches_reference_implementation():
     rng = RNG(11)
     cell = fresh_gru(4, 5, rng)
     x = rng.standard_normal((4, 1))
-    got = gru_sequence(cell, x.T).data.T
+    got = gru_layer((cell,), x.T).data.T
     assert np.allclose(got, reference_gru(cell, x, np.zeros((5, 1))), atol=1e-12)
 
 
 def test_gru_step_shape_errors():
     cell = fresh_gru(4, 5, RNG(0))
     with pytest.raises(nm.ShapeError):
-        gru_sequence(cell, np.zeros((1, 3)))
+        gru_layer((cell,), np.zeros((1, 3)))
     with pytest.raises(nm.ShapeError):
-        gru_sequence(cell, np.zeros((1, 4)), rec_mask=np.ones((4, 1)))
+        gru_layer((cell,), np.zeros((1, 4)), rec_masks=(np.ones((4, 1)),))
 
 
 def test_gru_step_gradients_match_fd():
@@ -166,7 +172,7 @@ def test_gru_step_gradients_match_fd():
 
     def build():
         tape = Tape()
-        out = gru_sequence(cell, x, tape)
+        out = gru_layer((cell,), x, tape)
         return ops.sum_all(ops.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -182,7 +188,7 @@ def test_gru_step_recurrent_mask_gradients():
 
     def build():
         tape = Tape()
-        out = gru_sequence(cell, x, tape, rec_mask=mask)
+        out = gru_layer((cell,), x, tape, rec_masks=(mask,))
         return ops.sum_all(ops.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -195,7 +201,7 @@ def test_gru_sequence_matches_reference_loop(reverse, masked):
     cell = fresh_gru(3, 4, rng)
     X = rng.standard_normal((6, 3))
     mask = (rng.random((4, 1)) > 0.5) * 2.0 if masked else None
-    got = gru_sequence(cell, X, rec_mask=mask, reverse=reverse).data
+    got = ops.gru_direction(cell, X, rec_mask=mask, reverse=reverse).data
     h = np.zeros((4, 1))
     for t in (range(5, -1, -1) if reverse else range(6)):
         h = reference_gru(cell, X[t].reshape(-1, 1), h, mask)
@@ -214,7 +220,7 @@ def test_gru_sequence_gradients_match_fd(reverse, masked):
 
     def build():
         tape = Tape()
-        out = gru_sequence(cell, X, tape, rec_mask=mask, reverse=reverse)
+        out = ops.gru_direction(cell, X, tape, rec_mask=mask, reverse=reverse)
         return ops.sum_all(ops.hadamard(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -228,28 +234,28 @@ def test_stacked_bigru_passes_gradient_to_first_layer():
     X = rng.standard_normal((4, 3))
     weights = Tensor(rng.standard_normal((4, 4)))
     masks = (np.array([[2.0], [0.0]]), np.array([[0.0], [2.0]]))
-    params = [t for _, t in first.parameters("a") + second.parameters("b")]
+    params = [t for _, t in layer_parameters(first, "a") + layer_parameters(second, "b")]
 
     def build():
         tape = Tape()
-        H = bigru_forward(second, bigru_forward(first, X, tape, masks), tape)
+        H = gru_layer(second, gru_layer(first, X, tape, masks), tape)
         return ops.sum_all(ops.hadamard(H, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
-    assert all(np.any(t.grad != 0.0) for _, t in first.parameters("a") if t.shape[1] == 3)
+    assert all(np.any(t.grad != 0.0) for _, t in layer_parameters(first, "a") if t.shape[1] == 3)
 
 
 def test_bigru_single_token_shape():
     layer = fresh_bigru(3, 4, RNG(1))
-    H = bigru_forward(layer, np.ones((1, 3)))
+    H = gru_layer(layer, np.ones((1, 3)))
     assert H.shape == (1, 8)
 
 
 def test_bigru_zero_weights():
     layer = fresh_bigru(3, 4, RNG(1))
-    for _, p in layer.parameters("b"):
+    for _, p in layer_parameters(layer, "b"):
         p.data[:] = 0.0
-    H = bigru_forward(layer, RNG(2).standard_normal((5, 3)))
+    H = gru_layer(layer, RNG(2).standard_normal((5, 3)))
     assert np.array_equal(H.data, np.zeros((5, 8)))
 
 
@@ -257,13 +263,11 @@ def test_bigru_reversal_symmetry_with_shared_cells():
     rng = RNG(3)
     layer = fresh_bigru(3, 4, rng)
     # make both directions use identical parameters
-    for (_, a), (_, b) in zip(
-        layer.forward_cell.parameters("f"), layer.backward_cell.parameters("b")
-    ):
+    for (_, a), (_, b) in zip(layer[0].parameters("f"), layer[1].parameters("b")):
         b.data = a.data.copy()
     X = rng.standard_normal((6, 3))
-    H = bigru_forward(layer, X).data
-    H_rev = bigru_forward(layer, X[::-1]).data
+    H = gru_layer(layer, X).data
+    H_rev = gru_layer(layer, X[::-1]).data
     # explicit double evaluation: forward half of reversed input equals the
     # row-reversed backward half of the original (and vice versa)
     assert np.allclose(H_rev[:, :4], H[::-1, 4:], atol=1e-12)
@@ -274,15 +278,57 @@ def test_bigru_matches_stepwise_evaluation():
     rng = RNG(4)
     layer = fresh_bigru(2, 3, rng)
     X = rng.standard_normal((4, 2))
-    H = bigru_forward(layer, X).data
+    H = gru_layer(layer, X).data
     h = np.zeros((3, 1))
     for t in range(4):
-        h = reference_gru(layer.forward_cell, X[t].reshape(-1, 1), h)
+        h = reference_gru(layer[0], X[t].reshape(-1, 1), h)
         assert np.allclose(H[t, :3], h.ravel(), atol=1e-12)
     h = np.zeros((3, 1))
     for t in range(3, -1, -1):
-        h = reference_gru(layer.backward_cell, X[t].reshape(-1, 1), h)
+        h = reference_gru(layer[1], X[t].reshape(-1, 1), h)
         assert np.allclose(H[t, 3:], h.ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cells, lengths, masked, tensor_input",
+    [
+        (1, None, False, True),
+        (1, [3, 5, 1], True, True),
+        (2, None, False, False),
+        (2, [3, 5, 1], False, True),
+        (2, [3, 5, 1], True, True),
+        (2, [3, 5, 1], True, False),
+    ],
+)
+def test_gru_layer_equals_the_record_by_record_composition_bit_for_bit(
+    cells, lengths, masked, tensor_input
+):
+    rng = RNG(70)
+    layer = fresh_bigru(3, 4, rng)[:cells]
+    B = 1 if lengths is None else len(lengths)
+    X = rng.standard_normal((5 * B, 3))
+    X = Tensor(X) if tensor_input else X
+    chunks = []
+    for _ in range(2):
+        rec = tuple((rng.random((4, B)) > 0.4) * 2.0 for _ in layer) if masked else None
+        out = (rng.random((B, 4 * cells)) > 0.4) * 2.0 if masked else None
+        chunks.append((rec, out, Tensor(rng.standard_normal((5 * B, 4 * cells)))))
+    params = [t for _, t in layer_parameters(layer, "c")] + ([X] if tensor_input else [])
+
+    def run(layer_fn):
+        for p in params:
+            p.zero_grad()
+        values = []
+        for rec, out, weights in chunks:  # both chunks add into the same grad slots
+            tape = Tape()
+            H = layer_fn(layer, X, tape, rec, lengths, out)
+            backward(tape, ops.sum_all(ops.hadamard(H, weights, tape), tape))
+            values.append(H.data)
+        return values + [p.grad for p in params]
+
+    got, want = run(gru_layer), run(oracles.gru_layer_by_records)
+    assert len(got) == len(want) == 2 + len(params)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +601,8 @@ def test_model_forward_emission_widths_at_100_units():
 class AllDropped:
     rate = 0.999
 
-    def row(self, width):
-        return np.zeros((1, width))
-
-    def column(self, height):
-        return np.zeros((height, 1))
+    def draw(self, count, width):
+        return np.zeros((count, width))
 
 
 def test_all_dropped_masks_leave_only_biases():
@@ -643,7 +686,7 @@ def test_total_loss_gradients_match_fd():
 def test_tape_length_does_not_grow_with_query_length(
     fixture_corpus, imdb_subset, fixture_embeddings
 ):
-    # every GRU sequence is one record, so no record is per token
+    # every GRU layer is one record, so no record is per token
     model = DBTaggerModel.build(
         fixture_embeddings, build_vocabs(fixture_corpus, imdb_subset), hidden=5, seed=0
     )
@@ -688,23 +731,24 @@ def test_st_bi_train_forward_draws_masks_layer_by_layer(monkeypatch):
     words = ds.queries[0].words
     (net,) = variants.make_variant("ST_Bi", model.vocabs, model.embeddings, TrainConfig(hidden=u))
     applied = []
-    real_dropout = nm.dropout
+    real_gru = tagger.gru_layer
 
-    def spy(t, mask, tape=None):
-        applied.append(mask)
-        return real_dropout(t, mask, tape)
+    def spy(layer, X, tape=None, rec_masks=None, lengths=None, out_mask=None):
+        if out_mask is not None:
+            applied.append(out_mask)
+        return real_gru(layer, X, tape, rec_masks, lengths, out_mask)
 
-    monkeypatch.setattr(nm, "dropout", spy)
+    monkeypatch.setattr(tagger, "gru_layer", spy)
     rng = RNG(11)
     model_forward(net, query_inputs(net, [words]), mask_stream=MaskStream(0.5, rng))
     replay_rng = RNG(11)
     replay = MaskStream(0.5, replay_rng)
-    for _ in range(4):  # forward, backward recurrent mask of each bi-GRU layer
-        replay.column(u)
-    out_mask = replay.row(2 * u)  # encoder output, drawn last
+    # forward, backward recurrent mask of each bi-GRU layer, then the
+    # encoder output, drawn last
+    out_mask = replay.draw(1, 4 * u + 2 * u)[:, 4 * u :]
     assert rng.bit_generator.state == replay_rng.bit_generator.state
     (mask,) = applied
-    assert np.array_equal(mask, np.tile(out_mask, (len(words), 1)))
+    assert np.array_equal(mask, out_mask)
 
 
 def test_merge_value_spans():
@@ -776,7 +820,7 @@ def test_load_model_draws_no_random_numbers(monkeypatch):
     def no_draw(*args):
         raise AssertionError("load_model drew fresh parameters")
 
-    for name in ("_glorot", "fresh_gru", "fresh_bigru", "fresh_crf"):
+    for name in ("_glorot", "fresh_gru", "fresh_crf"):
         monkeypatch.setattr(tagger, name, no_draw)
     again = load_model(blob)
     assert save_model(again) == blob
@@ -827,7 +871,7 @@ def test_layers_and_model_check_the_widths_they_chain():
     with pytest.raises(nm.ShapeError):
         CrfLayer(crf.emit_weight.data, crf.emit_bias.data[:, :4], crf.transitions.data)
     with pytest.raises(nm.ShapeError):
-        BiGruLayer(cell, fresh_gru(2, 4, RNG(0)))
+        gru_layer((cell, fresh_gru(2, 4, RNG(0))), np.zeros((1, 3)))
     _, model = tiny_setup(hidden=5)  # embedding width 4, vocabulary sizes 4, 5, 5
     pos, type_, schema = model.heads
     encoder = [("shared", model.encoder[0][1])]
@@ -841,13 +885,31 @@ def test_layers_and_model_check_the_widths_they_chain():
     with pytest.raises(nm.ShapeError, match="shared takes 4 inputs, gets 7"):
         assemble(encoder, [pos], previous=previous)
     with pytest.raises(nm.ShapeError, match="enc1 takes 3 inputs, gets 10"):
-        assemble(encoder + [("enc1", cell)], [pos])
+        assemble(encoder + [("enc1", (cell,))], [pos])
     with pytest.raises(nm.ShapeError, match="POS GRU takes 10 inputs, gets 4"):
         assemble([], [pos])
     with pytest.raises(nm.ShapeError, match=r"SCHEMA CRF \(skip 5\) takes 5 inputs, gets 10"):
         assemble(encoder, [pos, TaskHead(TagLevel.SCHEMA, schema.cell, fresh_crf(5, 5, RNG(0)))])
     with pytest.raises(ValueError, match="POS vocabulary size 4 != CRF tag count 5"):
         assemble(encoder, [TaskHead(TagLevel.POS, pos.cell, fresh_crf(5, 5, RNG(0)))])
+
+
+def test_a_stage_and_its_previous_stage_share_one_embedding_table():
+    _, model = tiny_setup(hidden=5)
+    emb, vocabs = model.embeddings, model.vocabs
+    twin = EmbeddingTable(
+        emb.dimension, dict(emb.vectors), bucket_count=emb.bucket_count, subword_seed=emb.subword_seed
+    )
+
+    def stage(table, level, width, previous=None):
+        head = TaskHead(level, None, fresh_crf(vocabs[level].size, width, RNG(0)))
+        return DBTaggerModel(table, [], [head], vocabs, model.weights, 0.5, previous)
+
+    previous = stage(twin, TagLevel.POS, emb.dimension)
+    width = emb.dimension + vocabs[TagLevel.POS].size
+    stage(twin, TagLevel.SCHEMA, width, previous)
+    with pytest.raises(ValueError, match="share its previous stage's embedding table"):
+        stage(emb, TagLevel.SCHEMA, width, previous)
 
 
 def test_load_model_rejects_bad_magic():
@@ -893,7 +955,7 @@ def test_load_model_checks_sizes_before_building(monkeypatch, case):
     def no_draw(*args):
         raise AssertionError("load_model drew fresh parameters")
 
-    for name in ("_glorot", "fresh_gru", "fresh_bigru", "fresh_crf"):
+    for name in ("_glorot", "fresh_gru", "fresh_crf"):
         monkeypatch.setattr(tagger, name, no_draw)
     with pytest.raises(ModelFormatError):
         load_model(blob)
@@ -1037,7 +1099,7 @@ def test_padded_rows_get_zero_gradient_and_zero_states():
     tags = [[0, 2], [1, 1, 0, 2], [2]]
     for reverse in (False, True):
         tape = Tape()
-        out = gru_sequence(cell, X, tape, reverse=reverse, lengths=lengths)
+        out = ops.gru_direction(cell, X, tape, reverse=reverse, lengths=lengths)
         assert np.array_equal(out.data[pad], np.zeros((pad.sum(), 4)))
         weights = Tensor(rng.standard_normal(out.shape))  # nonzero on padding too
         loss = ops.sum_all(ops.hadamard(out, weights, tape), tape)
@@ -1063,7 +1125,7 @@ def test_ragged_masked_chunk_gradients_match_fd(reverse):
 
     def build():
         tape = Tape()
-        out = gru_sequence(cell, X, tape, rec_mask=mask, reverse=reverse, lengths=lengths)
+        out = ops.gru_direction(cell, X, tape, rec_mask=mask, reverse=reverse, lengths=lengths)
         return ops.sum_all(ops.hadamard(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -1103,11 +1165,11 @@ def test_packed_lengths_must_fit_the_rows():
     cell = fresh_gru(3, 4, RNG(0))
     crf, _ = random_crf(1, 3, seed=0)
     with pytest.raises(nm.ShapeError):
-        gru_sequence(cell, np.zeros((6, 3)), lengths=[2, 2, 3])
+        gru_layer((cell,), np.zeros((6, 3)), lengths=[2, 2, 3])
     with pytest.raises(nm.ShapeError):
-        gru_sequence(cell, np.zeros((4, 3)), lengths=[2, 0])
+        gru_layer((cell,), np.zeros((4, 3)), lengths=[2, 0])
     with pytest.raises(nm.ShapeError):
-        gru_sequence(cell, np.zeros((6, 3)), rec_mask=np.ones((4, 1)), lengths=[3, 3])
+        gru_layer((cell,), np.zeros((6, 3)), rec_masks=(np.ones((4, 1)),), lengths=[3, 3])
     with pytest.raises(nm.ShapeError):
         viterbi_decode(crf, np.zeros((6, 3)), [4, 2])
 
@@ -1119,19 +1181,15 @@ def test_seeded_chunk_draws_the_per_query_dropout_masks(name, monkeypatch):
     (net,) = variants.make_variant(name, base.vocabs, base.embeddings, config)
     sentences = query_inputs(net, [q.words for q in ds.queries] * 2)
     seen = []
-    real_gru, real_dropout = tagger.gru_sequence, nm.dropout
+    real_gru = tagger.gru_layer
 
-    def gru_spy(cell, X, tape=None, rec_mask=None, reverse=False, lengths=None):
-        if rec_mask is not None:
-            seen.append(("rec", rec_mask))
-        return real_gru(cell, X, tape, rec_mask, reverse, lengths)
+    def gru_spy(layer, X, tape=None, rec_masks=None, lengths=None, out_mask=None):
+        seen.extend(("rec", mask) for mask in rec_masks or () if mask is not None)
+        if out_mask is not None:
+            seen.append(("out", out_mask))
+        return real_gru(layer, X, tape, rec_masks, lengths, out_mask)
 
-    def dropout_spy(t, mask, tape=None):
-        seen.append(("out", mask))
-        return real_dropout(t, mask, tape)
-
-    monkeypatch.setattr(tagger, "gru_sequence", gru_spy)
-    monkeypatch.setattr(nm, "dropout", dropout_spy)
+    monkeypatch.setattr(tagger, "gru_layer", gru_spy)
     model_forward(net, sentences, mask_stream=MaskStream(0.5, RNG(8)))
     chunk_masks, seen[:] = list(seen), []
     stream = MaskStream(0.5, RNG(8))
@@ -1156,9 +1214,9 @@ def test_tape_length_does_not_depend_on_chunk_size_or_lengths(
     model = fixture_model(fixture_corpus, imdb_subset, fixture_embeddings, hidden=5)
     queries = list(fixture_corpus.queries)
     chunks = [queries[:1], queries[-1:], queries[:7], queries[:16], _ragged_chunk(fixture_corpus)]
-    # 5 GRU layers, the encoder concat, 3 emissions, 3 CRF losses and their
-    # weighted sum; training with masks adds the encoder dropout
-    for stream, records in ((None, 13), (MaskStream(0.5, RNG(0)), 14)):
+    # 4 GRU layers, 3 emissions, 3 CRF losses and their weighted sum; the
+    # encoder dropout in training is part of the encoder's record
+    for stream, records in ((None, 11), (MaskStream(0.5, RNG(0)), 11)):
         assert {len(total_loss(model, prepare_queries(model, c), stream)[2]) for c in chunks} == {
             records
         }
@@ -1206,7 +1264,7 @@ def test_decoding_computes_only_the_emissions_it_reads(
     ]
 
     calls = {"emissions": 0, "gru": 0}
-    real_emissions, real_gru = CrfLayer.emissions, tagger.gru_sequence
+    real_emissions, real_gru = CrfLayer.emissions, tagger.gru_layer
 
     def count_emissions(self, features, tape=None):
         calls["emissions"] += 1
@@ -1217,13 +1275,13 @@ def test_decoding_computes_only_the_emissions_it_reads(
         return real_gru(*args, **kwargs)
 
     monkeypatch.setattr(CrfLayer, "emissions", count_emissions)
-    monkeypatch.setattr(tagger, "gru_sequence", count_gru)
+    monkeypatch.setattr(tagger, "gru_layer", count_gru)
     assert model.predict_tags(chunk) == want_schema
-    assert calls == {"emissions": 1, "gru": 4}  # encoder both ways, TYPE and SCHEMA heads
+    assert calls == {"emissions": 1, "gru": 3}  # the encoder, TYPE and SCHEMA heads
     calls.update(emissions=0, gru=0)
     tagged = tag_query(model, words)
     assert [[t.type_tag for t in tagged.tokens], [t.schema_tag for t in tagged.tokens]] == want_tagged
-    assert calls == {"emissions": 2, "gru": 5}
+    assert calls == {"emissions": 2, "gru": 4}
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,8 @@ def test_non_finite_loss_aborts_with_diagnostics():
 
 
 @pytest.mark.parametrize(
-    "name, stage, embeds_per_query, lookups_per_token", [("DBTagger", 0, 1, 3), ("MT_Seq", 1, 2, 2)]
+    "name, stage, embeds_per_query, lookups_per_token",
+    [("DBTagger", 0, 1, 3), ("MT_Seq", 1, 1, 2), ("MT_Seq", 2, 1, 3)],
 )
 def test_a_fit_prepares_each_query_once(
     name, stage, embeds_per_query, lookups_per_token,
@@ -247,9 +248,9 @@ def test_a_fit_prepares_each_query_once(
 ):
     """Inputs and gold indices are derived once per fit, whatever the epoch
     count.  The full model looks up each token's gold tag at its three
-    heads.  MT_Seq's second stage embeds each query twice, once for itself
-    and once for its first stage's decode, and looks up one gold and one
-    predicted tag per token; that first stage need not be trained."""
+    heads.  An MT_Seq stage embeds each query once, for itself and for its
+    earlier stages' decodes, and looks up one gold tag per token and one
+    predicted tag per earlier stage; those stages need not be trained."""
     train_ds = Dataset(queries=fixture_corpus.queries[:6], name="six")
     val_ds = Dataset(queries=fixture_corpus.queries[6:9], name="three")
     vocabs = variants.build_vocabs(fixture_corpus, imdb_subset)
