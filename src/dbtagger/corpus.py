@@ -36,18 +36,22 @@ class CorpusError(ValueError):
 def check_tag_pair(text: str, type_tag: str, schema_tag: str) -> None:
     """Raise CorpusError unless ``type_tag`` is a known type tag that may
     label a token with ``schema_tag``: O pairs only with O, COND only with
-    COND, and VALUE only with a qualified ``table.attribute``."""
+    COND, TABLE and TABLEREF only with a table name (no dot), and ATTR,
+    ATTRREF and VALUE only with a qualified ``table.attribute``."""
     if type_tag not in TYPE_TAGS:
         raise CorpusError(f"unknown type tag {type_tag!r} on token {text!r}")
-    if type_tag == "O" and schema_tag != "O":
-        raise CorpusError(f"token {text!r} has type O but schema tag {schema_tag!r} (must be O)")
-    if type_tag == "COND" and schema_tag != "COND":
+    if type_tag in ("O", "COND") and schema_tag != type_tag:
         raise CorpusError(
-            f"token {text!r} has type COND but schema tag {schema_tag!r} (must be COND)"
+            f"token {text!r} has type {type_tag} but schema tag {schema_tag!r} (must be {type_tag})"
         )
-    if type_tag == "VALUE" and "." not in schema_tag:
+    if type_tag in ("TABLE", "TABLEREF") and "." in schema_tag:
         raise CorpusError(
-            f"token {text!r} has type VALUE but schema tag {schema_tag!r} "
+            f"token {text!r} has type {type_tag} but schema tag {schema_tag!r} "
+            "is not a table name"
+        )
+    if type_tag in ("ATTR", "ATTRREF", "VALUE") and "." not in schema_tag:
+        raise CorpusError(
+            f"token {text!r} has type {type_tag} but schema tag {schema_tag!r} "
             "does not name a qualified attribute"
         )
 

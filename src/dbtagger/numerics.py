@@ -1,15 +1,16 @@
 """Rank-2 float64 tensors, the tape of reverse-mode differentiation, and
 the blocked product ``gemm``.
 
-Everything is a rank-2 array (scalars are 1x1, vectors are rows or
-columns).  A computation optionally records onto an explicit tape; a tape
-is an execution-ordered list of records, so reversing it is already a
-valid topological order for accumulating vector-Jacobian products.  A tape
-is single-threaded; independent tapes can run concurrently.
+A Tensor holds a rank-2 array and nothing else (a scalar is 1x1).  A
+computation optionally records onto an explicit tape; a tape is an
+execution-ordered list of records, so reversing it is already a valid
+topological order for accumulating vector-Jacobian products.  A tape is
+single-threaded; independent tapes can run concurrently.
 
 The records are fused ones with hand-written VJPs, all in ``tagger``: one
 per GRU layer, emission map and CRF loss, and one for the weighted sum of
-the losses.
+the losses.  A GRU layer or an emission map lists an activation, with its
+gradient, only when the tape produced it, so the packed input gets none.
 """
 
 from __future__ import annotations
@@ -28,23 +29,14 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ShapeError(f"tensors are rank <= 2, got shape {arr.shape}")
+        if arr.ndim != 2:
+            raise ShapeError(f"tensors are rank 2, got shape {arr.shape}")
         self.data = arr
         self.grad = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def item(self) -> float:
-        if self.data.shape != (1, 1):
-            raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
-        return float(self.data[0, 0])
 
     def zero_grad(self):
         self.grad = None

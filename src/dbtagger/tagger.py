@@ -5,14 +5,17 @@ variant are configurations of this one network.
 
 The network runs over a chunk of queries at once, packed time-major: row
 ``t*B + b`` of every activation holds token t of query b, so activations
-stay rank-2 and one query is the B=1 case.  Every GRU runs through
+stay rank-2 and one query is the B=1 case.  Every function over a chunk
+takes its activations as Tensors and the B query lengths; a per-query
+array (a dropout mask) is (B x width).  Every GRU runs through
 ``gru_layer``.  A whole GRU layer (both directions of a bi-directional one,
 and in training the encoder-output dropout), a head's emissions, a head's
-CRF loss and the task-weighted sum of the losses are each registered on
-the tape as one fused primitive per chunk with a hand-derived
-vector-Jacobian product (the CRF loss gradient is the classic
-forward-backward marginals minus the gold-path counts); their correctness
-is pinned by finite-difference and enumeration tests.
+CRF loss and the task-weighted sum of the losses are each one tape record
+per chunk with a hand-derived vector-Jacobian product (the CRF loss
+gradient is the classic forward-backward marginals minus the gold-path
+counts), pinned by finite-difference and enumeration tests.  A GRU layer
+or an emission map lists an activation, with its gradient, only when the
+tape produced it, so the network's packed input gets none.
 """
 
 from __future__ import annotations
@@ -60,10 +63,8 @@ def pack(matrices: list[np.ndarray]) -> np.ndarray:
 
 def _layout(rows: int, lengths) -> tuple[int, int, np.ndarray | None]:
     """(L, B, mask) of ``rows`` packed rows holding queries of the given
-    lengths (None: one query of every row).  ``mask`` is the (L*B x 1)
-    column with 1 at real tokens and 0 at padding, None without padding."""
-    if lengths is None:
-        return rows, 1, None
+    lengths.  ``mask`` is the (L*B x 1) column with 1 at real tokens and 0
+    at padding, None without padding."""
     B, L = len(lengths), max(lengths, default=0)
     if min(lengths, default=0) < 1 or L * B != rows:
         raise nm.ShapeError(f"lengths {list(lengths)} do not pack into {rows} rows")
@@ -130,7 +131,6 @@ def _gru_kernel(cell: GruCell, Xd: np.ndarray, layout, rec_mask, reverse: bool, 
     # views of the stored gates; nothing here copies a parameter
     U, W = cell.input.data, cell.recurrent.data
     W_zr, W_c = W[: 2 * u], W[2 * u :]
-    m = None if rec_mask is None else rec_mask.T
     steps = range(L - 1, -1, -1) if reverse else range(L)
 
     # input projections of every token, turned into the gates z, r, c step by step
@@ -141,7 +141,7 @@ def _gru_kernel(cell: GruCell, Xd: np.ndarray, layout, rec_mask, reverse: bool, 
     for t in steps:
         rows = slice(t * B, (t + 1) * B)
         a = gates[rows]
-        hm = h if m is None else h * m
+        hm = h if rec_mask is None else h * rec_mask
         zr = a[:, : 2 * u]
         zr += gemm(hm, W_zr.T)
         zr *= 0.5
@@ -163,7 +163,7 @@ def _gru_kernel(cell: GruCell, Xd: np.ndarray, layout, rec_mask, reverse: bool, 
         if valid is not None:
             g = g * valid
         # each state as the weights saw it one step later
-        fed = out if m is None else out * np.tile(m, (L, 1))
+        fed = out if rec_mask is None else out * np.tile(rec_mask, (L, 1))
         reset_fed = np.empty((L * B, u))
         # the stacked gate pre-activation gradients overwrite the gates step
         # by step: backward runs a record's VJP once
@@ -190,8 +190,8 @@ def _gru_kernel(cell: GruCell, Xd: np.ndarray, layout, rec_mask, reverse: bool, 
             dhm = drh * R
             Dt[:, :u], Dt[:, u : 2 * u], Dt[:, 2 * u :] = dz, dr, dc
             dhm += gemm(Dt[:, : 2 * u], W_zr)
-            if m is not None:
-                dhm *= m
+            if rec_mask is not None:
+                dhm *= rec_mask
             carry = dh * keep + dhm
         # row t's previous state is row t-1's output (t+1's in reverse)
         if reverse:
@@ -209,47 +209,46 @@ def _gru_kernel(cell: GruCell, Xd: np.ndarray, layout, rec_mask, reverse: bool, 
 
 def gru_layer(
     layer: tuple[GruCell, ...],
-    X,
+    X: Tensor,
+    lengths,
     tape: Tape | None = None,
     rec_masks=None,
-    lengths=None,
     out_mask: np.ndarray | None = None,
 ) -> Tensor:
     """Run a GRU layer, a forward cell or a forward and a reverse cell, from
-    a zero state over each query of a packed (L*B x d) input and return the
-    packed states, the cells' side by side (L*B x Σu).
+    a zero state over each of the B queries of a packed (L*B x d) input of
+    the given ``lengths`` and return the packed states, the cells' side by
+    side (L*B x Σu).
 
-    ``lengths`` gives the B query lengths (default: one query of all rows).
     A state updates only at its query's own tokens, so the reverse cell
     starts at each query's last token; padding rows come out zero and pass
-    no gradient.  ``X`` is a constant array or a Tensor; a Tensor receives
-    its gradient.  ``rec_masks``, when given, holds a (u x B) mask per cell
-    that drops entries of query b's previous state (by column b) wherever it
-    feeds a weight matrix; the interpolation path keeps the unmasked state
+    no gradient.  ``rec_masks``, when given, holds a (B x u) mask per cell
+    whose row b drops entries of query b's previous state wherever it feeds
+    a weight matrix; the interpolation path keeps the unmasked state
     (variational recurrent dropout).  ``out_mask`` (B x Σu), when given,
     scales each query's output states (the encoder-output dropout).
 
     The whole layer over the chunk is one tape record, which keeps the
-    input, the states and the gates.  It lists a Tensor input once per
-    cell, the reverse cell's first, so that its grad slot sums the two
-    directions in the order two records of their own would.  Every product
-    goes through ``gemm`` (see README).
+    input, the states and the gates.  It lists ``X``, with its gradient,
+    only when the tape produced ``X``, and then once per cell, the reverse
+    cell's first, so that its grad slot sums the two directions in the
+    order two records of their own would.  Every product goes through
+    ``gemm`` (see README).
     """
-    x_const = not isinstance(X, Tensor)
-    Xd = np.asarray(X, dtype=np.float64) if x_const else X.data
+    x_grad = tape is not None and tape.produced(X)
     takes = [cell.input_size for cell in layer]
-    if not 1 <= len(layer) <= 2 or Xd.ndim != 2 or not len(Xd) or {Xd.shape[1]} != set(takes):
-        raise nm.ShapeError(f"gru_layer: input shape {Xd.shape} for cells taking {takes}")
-    layout = L, B, _ = _layout(Xd.shape[0], lengths)
+    if not 1 <= len(layer) <= 2 or {X.shape[1]} != set(takes):
+        raise nm.ShapeError(f"gru_layer: input shape {X.shape} for cells taking {takes}")
+    layout = L, B, _ = _layout(X.shape[0], lengths)
     widths = [cell.hidden_size for cell in layer]
     rec = list(rec_masks or [None] * len(layer))
-    masks, shapes = [*rec, out_mask], [(u, B) for u in widths] + [(B, sum(widths))]
+    masks, shapes = [*rec, out_mask], [(B, u) for u in widths] + [(B, sum(widths))]
     if len(rec) != len(layer) or any(m is not None and m.shape != s for m, s in zip(masks, shapes)):
         given = [None if m is None else m.shape for m in masks]
         raise nm.ShapeError(f"gru_layer: masks of shapes {given}, expected {shapes}")
     runs = []
     for i, (cell, mask) in enumerate(zip(layer, rec)):
-        states, run = _gru_kernel(cell, Xd, layout, mask, i == 1, not x_const)
+        states, run = _gru_kernel(cell, X.data, layout, mask, i == 1, x_grad)
         runs.append((states, None if tape is None else run))
         del run  # untaped, a cell's gates are freed before the next cell runs
     value = runs[0][0] if len(runs) == 1 else np.hstack([states for states, _ in runs])
@@ -270,7 +269,7 @@ def gru_layer(
             grads += run(parts[len(runs)])
         return grads
 
-    x = () if x_const else (X,)
+    x = (X,) if x_grad else ()
     inputs = [t for cell in layer[::-1] for t in (*x, cell.input, cell.recurrent, cell.bias)]
     tape.record(result, tuple(inputs), vjp)
     return result
@@ -319,7 +318,9 @@ class CrfLayer:
     def emissions(self, parts: list[Tensor], tape: Tape | None = None) -> Tensor:
         """Emission scores of features given as column blocks side by side:
         each block multiplies its own rows of ``emit_weight``, so the
-        features are never concatenated; then ``emit_bias`` is added."""
+        features are never concatenated; then ``emit_bias`` is added.  The
+        record lists a block, and computes its gradient, only when the tape
+        produced it."""
         widths = [p.shape[1] for p in parts]
         if sum(widths) != self.feature_size:
             raise nm.ShapeError(
@@ -334,12 +335,13 @@ class CrfLayer:
         out = Tensor(value)
         if tape is not None:
             features = [p.data for p in parts]
+            fed = [(p, b) for p, b in zip(parts, blocks) if tape.produced(p)]
 
             def vjp(g):
                 dW = np.vstack([gemm(f.T, g) for f in features])
-                return (*(gemm(g, b.T) for b in blocks), dW, g.sum(axis=0, keepdims=True))
+                return (*(gemm(g, b.T) for _, b in fed), dW, g.sum(axis=0, keepdims=True))
 
-            tape.record(out, (*parts, self.emit_weight, self.emit_bias), vjp)
+            tape.record(out, (*(p for p, _ in fed), self.emit_weight, self.emit_bias), vjp)
         return out
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
@@ -353,14 +355,13 @@ def fresh_crf(tag_count: int, feature_size: int, rng: np.random.Generator) -> Cr
     return CrfLayer(_glorot(rng, (feature_size, k)), np.zeros((1, k)), np.zeros((k + 2, k + 2)))
 
 
-def _checked(crf: CrfLayer, emissions, lengths):
+def _checked(crf: CrfLayer, emissions: Tensor, lengths):
     """(G as (L, B, k), lengths as an array) of packed emissions."""
-    G = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=np.float64)
-    rows, k = G.shape
+    rows, k = emissions.shape
     if k != crf.tag_count:
         raise nm.ShapeError(f"emissions have {k} tags, CRF has {crf.tag_count}")
     L, B, _ = _layout(rows, lengths)
-    return G.reshape(L, B, k), np.asarray(lengths if lengths is not None else [rows])
+    return emissions.data.reshape(L, B, k), np.asarray(lengths)
 
 
 def crf_score(crf: CrfLayer, emissions: Tensor, tags: list[list[int]]):
@@ -393,7 +394,7 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis=axis)
 
 
-def crf_log_partition(crf: CrfLayer, emissions: Tensor, lengths=None):
+def crf_log_partition(crf: CrfLayer, emissions: Tensor, lengths):
     """Each query's log sum over all its tag sequences of exp(path score)
     (B x 1), by the forward algorithm in log space; and the forward
     lattice (L x B x k), which ``crf_nll``'s gradient reads."""
@@ -409,9 +410,7 @@ def crf_log_partition(crf: CrfLayer, emissions: Tensor, lengths=None):
     return Tensor(_lse(ends + A[:k, crf.stop_index], axis=1)[:, None]), alpha
 
 
-def crf_nll(
-    crf: CrfLayer, emissions: Tensor, tags: list[list[int]], tape: Tape | None = None
-) -> Tensor:
+def crf_nll(crf: CrfLayer, emissions: Tensor, tags: list[list[int]], tape: Tape) -> Tensor:
     """Negative log-probability of each query's gold sequence (B x 1);
     non-negative.
 
@@ -425,8 +424,6 @@ def crf_nll(
     log_z, alpha = crf_log_partition(crf, emissions, lengths)
     gold, (rows, flat, query, first, last, inner_pos) = crf_score(crf, emissions, tags)
     out = Tensor(log_z.data - gold.data)
-    if tape is None:
-        return out
     L, B, k = alpha.shape
     G3, lens = emissions.data.reshape(L, B, k), np.asarray(lengths)
     A, start, stop = crf.transitions.data, crf.start_index, crf.stop_index
@@ -465,7 +462,7 @@ def crf_nll(
     return out
 
 
-def viterbi_decode(crf: CrfLayer, emissions, lengths=None) -> list[tuple[list[int], float]]:
+def viterbi_decode(crf: CrfLayer, emissions: Tensor, lengths) -> list[tuple[list[int], float]]:
     """Highest-scoring tag sequence of each query with its score; ties
     resolve to the lowest tag index."""
     G3, lens = _checked(crf, emissions, lengths)
@@ -691,12 +688,12 @@ def _draw_masks(model: DBTaggerModel, stream: MaskStream, count: int):
     """Dropout masks for a chunk of ``count`` queries, drawn as one block
     whose row b holds query b's masks in the order one query draws them:
     each encoder cell's recurrent mask (a layer's forward cell first), then
-    the encoder output mask.  Returns per encoder layer its cells' (u x B)
+    the encoder output mask.  Returns per encoder layer its cells' (B x u)
     recurrent masks and its (B x width) output mask, None but on the last."""
     sizes = [[cell.hidden_size for cell in layer] for _, layer in model.encoder]
     flat = [u for layer in sizes for u in layer] + [sum(sizes[-1])]
     parts = iter(np.hsplit(stream.draw(count, sum(flat)), np.cumsum(flat)[:-1]))
-    masks = [[tuple(next(parts).T for _ in layer), None] for layer in sizes]
+    masks = [[tuple(next(parts) for _ in layer), None] for layer in sizes]
     masks[-1][1] = next(parts)
     return masks
 
@@ -748,11 +745,9 @@ def model_forward(
     masks = [(None, None)] * len(model.encoder)
     if mask_stream is not None and model.encoder:
         masks = _draw_masks(model, mask_stream, len(inputs))
-    H = pack(inputs)
+    H = Tensor(pack(inputs))
     for (_, layer), (rec_masks, out_mask) in zip(model.encoder, masks):
-        H = gru_layer(layer, H, tape, rec_masks, lengths, out_mask)
-    if not model.encoder:
-        H = Tensor(H)
+        H = gru_layer(layer, H, lengths, tape, rec_masks, out_mask)
 
     wanted = HEAD_ORDER if levels is None else levels
     emissions = []
@@ -762,7 +757,7 @@ def model_forward(
         feeds_next = i + 1 < len(model.heads) and model.heads[i + 1].level in wanted
         states = None
         if emit or feeds_next:
-            states = H if head.cell is None else gru_layer((head.cell,), H, tape, lengths=lengths)
+            states = H if head.cell is None else gru_layer((head.cell,), H, lengths, tape)
         if emit:
             parts = [states] if prev is None else [states, prev]
             emissions.append(head.crf.emissions(parts, tape))
@@ -810,7 +805,7 @@ def total_loss(
         nlls.append(crf_nll(head.crf, emission, [e.gold[i] for e in examples], tape))
         term = nlls[-1].data * w
         per_query = term if per_query is None else per_query + term
-    loss = Tensor(per_query.sum())
+    loss = Tensor(per_query.sum(keepdims=True))
     tape.record(loss, tuple(nlls), lambda g: [np.full(per_query.shape, g[0, 0]) * w for w in weights])
     return loss, per_query[:, 0], tape
 

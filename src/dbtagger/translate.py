@@ -31,7 +31,6 @@ class MappingSet:
     tables: frozenset[str]
     attributes: frozenset[str]
     value_spans: tuple[tuple[str, str], ...]  # (qualified attribute, literal)
-    conditions: tuple[str, ...]
 
     def __post_init__(self):
         for attr in self.attributes:
@@ -53,24 +52,20 @@ class MappingSet:
 
 
 def mappings_from_tags(tagged: TaggedQuery) -> MappingSet:
-    """Collect tables, attributes, merged value spans and condition tokens
-    from a tagged query."""
+    """Collect tables, attributes and merged value spans from a tagged
+    query."""
     tables = set()
     attributes = set()
-    conditions = []
     for token in tagged.tokens:
         if token.type_tag in ("TABLE", "TABLEREF"):
             tables.add(token.schema_tag)
         elif token.type_tag in ("ATTR", "ATTRREF"):
             attributes.add(token.schema_tag)
-        elif token.type_tag == "COND":
-            conditions.append(token.text)
     value_spans = tuple((span.attribute, span.text) for span in tagged.value_spans)
     return MappingSet(
         tables=frozenset(tables),
         attributes=frozenset(attributes),
         value_spans=value_spans,
-        conditions=tuple(conditions),
     )
 
 

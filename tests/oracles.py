@@ -35,8 +35,8 @@ def finite_diff_check(
     for p in params:
         p.zero_grad()
     loss, tape = make_loss()
-    if not np.isfinite(loss.item()):
-        raise ValueError(f"non-finite loss {loss.item()}")
+    if not np.isfinite(loss.data.item()):
+        raise ValueError(f"non-finite loss {loss.data.item()}")
     backward(tape, loss)
     analytic = [p.grad.copy() if p.grad is not None else np.zeros(p.shape) for p in params]
 
@@ -56,9 +56,9 @@ def finite_diff_check(
         p = params[pi]
         saved = p.data[i, j]
         p.data[i, j] = saved + h
-        f_plus = make_loss()[0].item()
+        f_plus = make_loss()[0].data.item()
         p.data[i, j] = saved - h
-        f_minus = make_loss()[0].item()
+        f_minus = make_loss()[0].data.item()
         p.data[i, j] = saved
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise ValueError("non-finite loss during finite differencing")
@@ -125,13 +125,14 @@ def crf_nll_by_records(crf, emissions, tags, tape=None):
     return ops.add(log_z, ops.scale(gold, -1.0, tape), tape)
 
 
-def gru_layer_by_records(layer, X, tape=None, rec_masks=None, lengths=None, out_mask=None):
+def gru_layer_by_records(layer, X, lengths, tape=None, rec_masks=None, out_mask=None):
     """``tagger.gru_layer`` as a record per cell, a ``concat`` of a
     two-cell layer's states and a ``dropout`` of the output rows, tiled
-    over the time steps."""
+    over the time steps.  Each cell's record lists ``X`` only when the tape
+    produced it."""
     rec_masks = rec_masks or (None,) * len(layer)
     states = [
-        ops.gru_direction(cell, X, tape, mask, reverse=i == 1, lengths=lengths)
+        ops.gru_direction(cell, X, lengths, tape, mask, reverse=i == 1)
         for i, (cell, mask) in enumerate(zip(layer, rec_masks))
     ]
     out = states[0] if len(states) == 1 else ops.concat(states, tape)

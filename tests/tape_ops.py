@@ -170,16 +170,25 @@ def dropout(t: Tensor, mask: np.ndarray, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def gru_direction(cell, X, tape: Tape | None = None, rec_mask=None, reverse=False, lengths=None):
+def identity(t: Tensor, tape: Tape) -> Tensor:
+    """``t``'s value as a tensor the tape produced, whose gradient flows
+    back into ``t``: a GRU layer computes the gradient of its input only
+    when the tape produced that input."""
+    out = Tensor(t.data)
+    tape.record(out, (t,), lambda g: (g,))
+    return out
+
+
+def gru_direction(cell, X: Tensor, lengths, tape: Tape | None = None, rec_mask=None, reverse=False):
     """One cell's walk over a packed input, forward or ``reverse``, as a
     record of its own over ``tagger``'s kernel; arguments as in
-    ``tagger.gru_layer``."""
-    x_const = not isinstance(X, Tensor)
-    Xd = np.asarray(X, dtype=np.float64) if x_const else X.data
-    layout = tagger._layout(Xd.shape[0], lengths)
-    states, vjp = tagger._gru_kernel(cell, Xd, layout, rec_mask, reverse, not x_const)
+    ``tagger.gru_layer``, whose rule it keeps: the record lists ``X`` only
+    when the tape produced it."""
+    x_grad = tape is not None and tape.produced(X)
+    layout = tagger._layout(X.shape[0], lengths)
+    states, vjp = tagger._gru_kernel(cell, X.data, layout, rec_mask, reverse, x_grad)
     out = Tensor(states)
     if tape is not None:
         params = (cell.input, cell.recurrent, cell.bias)
-        tape.record(out, params if x_const else (X, *params), vjp)
+        tape.record(out, (X, *params) if x_grad else params, vjp)
     return out

@@ -292,6 +292,18 @@ def test_translate_rejects_an_unknown_type_tag(workdir, capsys):
     assert captured.err == "error: line 3: unknown type tag 'VALUEX' on token 'Nolan'\n"
 
 
+@pytest.mark.parametrize("row", ["title\tATTR\tmovie", "movie\tTABLE\tmovie.title"])
+def test_translate_rejects_a_relation_tag_of_the_wrong_shape(workdir, capsys, row):
+    path = workdir / "wrong_shape.tsv"
+    path.write_text(row + "\n")
+    schema = workdir / "imdb_subset.json"
+    status = run(["translate", "--schema", str(schema), "--tagged", str(path)])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: token ")
+
+
 def test_cv_subcommand_tiny(workdir, capsys):
     status = run(
         [

@@ -59,6 +59,21 @@ def test_value_needs_qualified_attribute():
         parse_corpus("Nash\tNNP\tVALUE\tmovie\n")
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "movie\tNN\tTABLE\tmovie.title",
+        "acted\tVBD\tTABLEREF\tcast.role",
+        "title\tNN\tATTR\tmovie",
+        "whose\tWP\tATTRREF\tmovie",
+    ],
+)
+def test_relation_type_tags_need_their_schema_tag_shape(row):
+    type_tag = row.split("\t")[2]
+    with pytest.raises(CorpusError, match=f"line 2: token .* has type {type_tag} but schema tag"):
+        parse_corpus("who\tWP\tO\tO\n" + row + "\n")
+
+
 def test_unknown_type_tag():
     with pytest.raises(CorpusError, match="unknown type tag 'TBL'"):
         parse_corpus("who\tWP\tTBL\tmovie\n")

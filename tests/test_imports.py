@@ -1,8 +1,9 @@
 """The package's structure: every module imports the package modules it
 uses at module top, and the import graph has no cycle, so that no module's
 dependencies are hidden inside a function body; and every module-level
-function and class is named by the program or the benchmark, so that no
-test-only code lives in the package."""
+function and class, and every method of such a class but the dunder ones,
+is named by the program or the benchmark, so that no test-only code lives
+in the package."""
 
 import ast
 from collections import Counter
@@ -76,6 +77,18 @@ def _names(node: ast.AST):
             yield inner.name.rpartition(".")[2]
 
 
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, node) of every module-level function and class and
+    of every non-dunder method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    yield f"{module}.{node.name}.{method.name}", method
+
+
 def test_every_package_definition_is_named_by_the_program_or_the_benchmark():
     benchmark = sorted(PERFBENCH.glob("*.py"))
     assert benchmark, f"no benchmark sources under {PERFBENCH}"
@@ -85,11 +98,7 @@ def test_every_package_definition_is_named_by_the_program_or_the_benchmark():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         named.update(_names(tree))
         if path.parent == PACKAGE:
-            definitions += [
-                (f"{path.stem}.{node.name}", node)
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            ]
+            definitions += _definitions(path.stem, tree)
     qualified = {name for name, _ in definitions}
     assert set(UNNAMED_BY_DESIGN) <= qualified, "an allowlisted definition no longer exists"
     # a definition that names only itself (recursion) is named nowhere else

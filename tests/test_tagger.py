@@ -121,7 +121,7 @@ def test_gru_step_zero_everything():
     cell = fresh_gru(2, 3, RNG(0))
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
-    out = gru_layer((cell,), np.ones((1, 2)))
+    out = gru_layer((cell,), Tensor(np.ones((1, 2))), [1])
     assert np.array_equal(out.data, np.zeros((1, 3)))
 
 
@@ -130,7 +130,7 @@ def test_gru_step_candidate_bias_closed_form():
     for _, p in cell.parameters("c"):
         p.data[:] = 0.0
     cell.bias.data[2 * cell.hidden_size :] = 5.0  # the candidate rows
-    out = gru_layer((cell,), np.ones((1, 2)))
+    out = gru_layer((cell,), Tensor(np.ones((1, 2))), [1])
     assert np.allclose(out.data, 0.5 * np.tanh(5.0), atol=1e-15)
 
 
@@ -151,16 +151,16 @@ def test_gru_step_matches_reference_implementation():
     rng = RNG(11)
     cell = fresh_gru(4, 5, rng)
     x = rng.standard_normal((4, 1))
-    got = gru_layer((cell,), x.T).data.T
+    got = gru_layer((cell,), Tensor(x.T), [1]).data.T
     assert np.allclose(got, reference_gru(cell, x, np.zeros((5, 1))), atol=1e-12)
 
 
 def test_gru_step_shape_errors():
     cell = fresh_gru(4, 5, RNG(0))
     with pytest.raises(nm.ShapeError):
-        gru_layer((cell,), np.zeros((1, 3)))
+        gru_layer((cell,), Tensor(np.zeros((1, 3))), [1])
     with pytest.raises(nm.ShapeError):
-        gru_layer((cell,), np.zeros((1, 4)), rec_masks=(np.ones((4, 1)),))
+        gru_layer((cell,), Tensor(np.zeros((1, 4))), [1], rec_masks=(np.ones((1, 4)),))
 
 
 def test_gru_step_gradients_match_fd():
@@ -172,7 +172,7 @@ def test_gru_step_gradients_match_fd():
 
     def build():
         tape = Tape()
-        out = gru_layer((cell,), x, tape)
+        out = gru_layer((cell,), ops.identity(x, tape), [1], tape)
         return ops.sum_all(ops.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -182,13 +182,13 @@ def test_gru_step_recurrent_mask_gradients():
     rng = RNG(13)
     cell = fresh_gru(3, 4, rng)
     x = Tensor(rng.standard_normal((1, 3)))
-    mask = (rng.random((4, 1)) > 0.5).astype(float) * 2.0
+    mask = (rng.random((1, 4)) > 0.5).astype(float) * 2.0
     weights = Tensor(rng.standard_normal((4, 1)))
     params = [x] + [t for _, t in cell.parameters("c")]
 
     def build():
         tape = Tape()
-        out = gru_layer((cell,), x, tape, rec_masks=(mask,))
+        out = gru_layer((cell,), ops.identity(x, tape), [1], tape, rec_masks=(mask,))
         return ops.sum_all(ops.matmul(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -200,11 +200,11 @@ def test_gru_sequence_matches_reference_loop(reverse, masked):
     rng = RNG(14)
     cell = fresh_gru(3, 4, rng)
     X = rng.standard_normal((6, 3))
-    mask = (rng.random((4, 1)) > 0.5) * 2.0 if masked else None
-    got = ops.gru_direction(cell, X, rec_mask=mask, reverse=reverse).data
+    mask = (rng.random((1, 4)) > 0.5) * 2.0 if masked else None
+    got = ops.gru_direction(cell, Tensor(X), [6], rec_mask=mask, reverse=reverse).data
     h = np.zeros((4, 1))
     for t in (range(5, -1, -1) if reverse else range(6)):
-        h = reference_gru(cell, X[t].reshape(-1, 1), h, mask)
+        h = reference_gru(cell, X[t].reshape(-1, 1), h, None if mask is None else mask.T)
         assert np.allclose(got[t], h.ravel(), atol=1e-12)
 
 
@@ -214,13 +214,13 @@ def test_gru_sequence_gradients_match_fd(reverse, masked):
     rng = RNG(15)
     cell = fresh_gru(3, 4, rng)
     X = Tensor(rng.standard_normal((5, 3)))
-    mask = (rng.random((4, 1)) > 0.5) * 2.0 if masked else None
+    mask = (rng.random((1, 4)) > 0.5) * 2.0 if masked else None
     weights = Tensor(rng.standard_normal((5, 4)))
     params = [X] + [t for _, t in cell.parameters("c")]
 
     def build():
         tape = Tape()
-        out = ops.gru_direction(cell, X, tape, rec_mask=mask, reverse=reverse)
+        out = ops.gru_direction(cell, ops.identity(X, tape), [5], tape, rec_mask=mask, reverse=reverse)
         return ops.sum_all(ops.hadamard(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -231,14 +231,14 @@ def test_stacked_bigru_passes_gradient_to_first_layer():
     rng = RNG(17)
     first = fresh_bigru(3, 2, rng)
     second = fresh_bigru(4, 2, rng)
-    X = rng.standard_normal((4, 3))
+    X = Tensor(rng.standard_normal((4, 3)))
     weights = Tensor(rng.standard_normal((4, 4)))
-    masks = (np.array([[2.0], [0.0]]), np.array([[0.0], [2.0]]))
+    masks = (np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]))
     params = [t for _, t in layer_parameters(first, "a") + layer_parameters(second, "b")]
 
     def build():
         tape = Tape()
-        H = gru_layer(second, gru_layer(first, X, tape, masks), tape)
+        H = gru_layer(second, gru_layer(first, X, [4], tape, masks), [4], tape)
         return ops.sum_all(ops.hadamard(H, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -247,7 +247,7 @@ def test_stacked_bigru_passes_gradient_to_first_layer():
 
 def test_bigru_single_token_shape():
     layer = fresh_bigru(3, 4, RNG(1))
-    H = gru_layer(layer, np.ones((1, 3)))
+    H = gru_layer(layer, Tensor(np.ones((1, 3))), [1])
     assert H.shape == (1, 8)
 
 
@@ -255,7 +255,7 @@ def test_bigru_zero_weights():
     layer = fresh_bigru(3, 4, RNG(1))
     for _, p in layer_parameters(layer, "b"):
         p.data[:] = 0.0
-    H = gru_layer(layer, RNG(2).standard_normal((5, 3)))
+    H = gru_layer(layer, Tensor(RNG(2).standard_normal((5, 3))), [5])
     assert np.array_equal(H.data, np.zeros((5, 8)))
 
 
@@ -266,8 +266,8 @@ def test_bigru_reversal_symmetry_with_shared_cells():
     for (_, a), (_, b) in zip(layer[0].parameters("f"), layer[1].parameters("b")):
         b.data = a.data.copy()
     X = rng.standard_normal((6, 3))
-    H = gru_layer(layer, X).data
-    H_rev = gru_layer(layer, X[::-1]).data
+    H = gru_layer(layer, Tensor(X), [6]).data
+    H_rev = gru_layer(layer, Tensor(X[::-1]), [6]).data
     # explicit double evaluation: forward half of reversed input equals the
     # row-reversed backward half of the original (and vice versa)
     assert np.allclose(H_rev[:, :4], H[::-1, 4:], atol=1e-12)
@@ -278,7 +278,7 @@ def test_bigru_matches_stepwise_evaluation():
     rng = RNG(4)
     layer = fresh_bigru(2, 3, rng)
     X = rng.standard_normal((4, 2))
-    H = gru_layer(layer, X).data
+    H = gru_layer(layer, Tensor(X), [4]).data
     h = np.zeros((3, 1))
     for t in range(4):
         h = reference_gru(layer[0], X[t].reshape(-1, 1), h)
@@ -289,8 +289,9 @@ def test_bigru_matches_stepwise_evaluation():
         assert np.allclose(H[t, 3:], h.ravel(), atol=1e-12)
 
 
+# lengths None: one query of all five rows; an input on the tape gets a gradient
 @pytest.mark.parametrize(
-    "cells, lengths, masked, tensor_input",
+    "cells, lengths, masked, input_on_tape",
     [
         (1, None, False, True),
         (1, [3, 5, 1], True, True),
@@ -301,19 +302,19 @@ def test_bigru_matches_stepwise_evaluation():
     ],
 )
 def test_gru_layer_equals_the_record_by_record_composition_bit_for_bit(
-    cells, lengths, masked, tensor_input
+    cells, lengths, masked, input_on_tape
 ):
     rng = RNG(70)
     layer = fresh_bigru(3, 4, rng)[:cells]
-    B = 1 if lengths is None else len(lengths)
-    X = rng.standard_normal((5 * B, 3))
-    X = Tensor(X) if tensor_input else X
+    lengths = lengths or [5]
+    B = len(lengths)
+    X = Tensor(rng.standard_normal((5 * B, 3)))
     chunks = []
     for _ in range(2):
-        rec = tuple((rng.random((4, B)) > 0.4) * 2.0 for _ in layer) if masked else None
+        rec = tuple((rng.random((B, 4)) > 0.4) * 2.0 for _ in layer) if masked else None
         out = (rng.random((B, 4 * cells)) > 0.4) * 2.0 if masked else None
         chunks.append((rec, out, Tensor(rng.standard_normal((5 * B, 4 * cells)))))
-    params = [t for _, t in layer_parameters(layer, "c")] + ([X] if tensor_input else [])
+    params = [t for _, t in layer_parameters(layer, "c")] + ([X] if input_on_tape else [])
 
     def run(layer_fn):
         for p in params:
@@ -321,7 +322,7 @@ def test_gru_layer_equals_the_record_by_record_composition_bit_for_bit(
         values = []
         for rec, out, weights in chunks:  # both chunks add into the same grad slots
             tape = Tape()
-            H = layer_fn(layer, X, tape, rec, lengths, out)
+            H = layer_fn(layer, ops.identity(X, tape) if input_on_tape else X, lengths, tape, rec, out)
             backward(tape, ops.sum_all(ops.hadamard(H, weights, tape), tape))
             values.append(H.data)
         return values + [p.grad for p in params]
@@ -329,6 +330,27 @@ def test_gru_layer_equals_the_record_by_record_composition_bit_for_bit(
     got, want = run(gru_layer), run(oracles.gru_layer_by_records)
     assert len(got) == len(want) == 2 + len(params)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_gru_layer_gives_a_gradient_only_to_an_input_the_tape_produced():
+    rng = RNG(71)
+    layer = fresh_bigru(3, 4, rng)
+    X = Tensor(rng.standard_normal((5, 3)))
+    tape = Tape()
+    backward(tape, ops.sum_all(gru_layer(layer, X, [5], tape), tape))
+    assert X.grad is None
+    assert all(p.grad is not None for _, p in layer_parameters(layer, "c"))
+    tape = Tape()
+    backward(tape, ops.sum_all(gru_layer(layer, ops.identity(X, tape), [5], tape), tape))
+    assert X.grad is not None and np.any(X.grad != 0.0)
+
+
+def test_gru_layer_refuses_a_recurrent_mask_laid_out_unit_by_query():
+    cell = fresh_gru(3, 4, RNG(0))
+    X = Tensor(np.zeros((6, 3)))  # two queries of three tokens
+    gru_layer((cell,), X, [3, 3], rec_masks=(np.ones((2, 4)),))
+    with pytest.raises(nm.ShapeError, match=r"expected \[\(2, 4\)"):
+        gru_layer((cell,), X, [3, 3], rec_masks=(np.ones((4, 2)),))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +361,7 @@ def test_crf_score_no_transitions():
     crf, G = random_crf(2, 3, seed=20)
     crf.transitions.data[:] = 0.0
     tags = [2, 0]
-    assert crf_score(crf, G, [tags])[0].item() == pytest.approx(
+    assert crf_score(crf, G, [tags])[0].data.item() == pytest.approx(
         G.data[0, 2] + G.data[1, 0], abs=1e-12
     )
 
@@ -348,14 +370,14 @@ def test_crf_score_transitions_only():
     crf, G = random_crf(1, 3, seed=21)
     G.data[:] = 0.0
     A = crf.transitions.data
-    assert crf_score(crf, G, [[1]])[0].item() == pytest.approx(A[3, 1] + A[1, 4], abs=1e-12)
+    assert crf_score(crf, G, [[1]])[0].data.item() == pytest.approx(A[3, 1] + A[1, 4], abs=1e-12)
 
 
 def test_crf_score_matches_loop_oracle():
     crf, G = random_crf(4, 3, seed=22)
     tags = [2, 0, 1, 1]
     scores = enumerate_scores(G.data, crf.transitions.data, 3)
-    assert crf_score(crf, G, [tags])[0].item() == pytest.approx(scores[tuple(tags)], abs=1e-10)
+    assert crf_score(crf, G, [tags])[0].data.item() == pytest.approx(scores[tuple(tags)], abs=1e-10)
 
 
 def test_crf_score_rejects_bad_tags():
@@ -370,20 +392,20 @@ def test_log_partition_uniform_closed_form():
     crf, G = random_crf(2, 3, seed=24)
     crf.transitions.data[:] = 0.0
     G.data[:] = 0.0
-    assert crf_log_partition(crf, G)[0].item() == pytest.approx(np.log(9.0), abs=1e-12)
+    assert crf_log_partition(crf, G, [2])[0].data.item() == pytest.approx(np.log(9.0), abs=1e-12)
 
 
 def test_log_partition_single_token():
     crf, G = random_crf(1, 4, seed=25)
     crf.transitions.data[:] = 0.0
-    want = ops.logsumexp_rows(Tensor(G.data[0:1])).item()
-    assert crf_log_partition(crf, G)[0].item() == pytest.approx(want, abs=1e-12)
+    want = ops.logsumexp_rows(Tensor(G.data[0:1])).data.item()
+    assert crf_log_partition(crf, G, [1])[0].data.item() == pytest.approx(want, abs=1e-12)
 
 
 def test_log_partition_matches_enumeration():
     crf, G = random_crf(5, 4, seed=26)
     want = enum_log_partition(G.data, crf.transitions.data, 4)
-    assert crf_log_partition(crf, G)[0].item() == pytest.approx(want, abs=1e-8)
+    assert crf_log_partition(crf, G, [5])[0].data.item() == pytest.approx(want, abs=1e-8)
 
 
 def test_sequence_probabilities_sum_to_one():
@@ -391,7 +413,7 @@ def test_sequence_probabilities_sum_to_one():
         rng = RNG(seed)
         n, k = int(rng.integers(1, 7)), int(rng.integers(1, 6))
         crf, G = random_crf(n, k, seed=seed + 100)
-        log_z = crf_log_partition(crf, G)[0].item()
+        log_z = crf_log_partition(crf, G, [n])[0].data.item()
         total = sum(
             np.exp(s - log_z) for s in enumerate_scores(G.data, crf.transitions.data, k).values()
         )
@@ -403,13 +425,13 @@ def test_crf_nll_single_tag_vocabulary():
     crf = fresh_crf(1, 2, rng)
     crf.transitions.data[:] = 0.0
     G = Tensor(rng.standard_normal((3, 1)))
-    assert crf_nll(crf, G, [[0, 0, 0]]).item() == pytest.approx(0.0, abs=1e-12)
+    assert crf_nll(crf, G, [[0, 0, 0]], Tape()).data.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_crf_nll_nonnegative_and_matches_enumeration():
     crf, G = random_crf(4, 3, seed=34)
     tags = [0, 2, 1, 0]
-    nll = crf_nll(crf, G, [tags]).item()
+    nll = crf_nll(crf, G, [tags], Tape()).data.item()
     assert nll >= 0.0
     scores = enumerate_scores(G.data, crf.transitions.data, 3)
     log_z = enum_log_partition(G.data, crf.transitions.data, 3)
@@ -432,21 +454,21 @@ def test_viterbi_onehot_rows_argmax():
     crf, _ = random_crf(3, 3, seed=36)
     crf.transitions.data[:] = 0.0
     G = Tensor(np.array([[0.0, 5.0, 0.0], [9.0, 0.0, 0.0], [0.0, 0.0, 4.0]]))
-    [(tags, score)] = viterbi_decode(crf, G)
+    [(tags, score)] = viterbi_decode(crf, G, [3])
     assert tags == [1, 0, 2]
     assert score == pytest.approx(18.0, abs=1e-12)
 
 
 def test_viterbi_single_tag():
     crf, G = random_crf(3, 1, seed=37)
-    [(tags, _)] = viterbi_decode(crf, G)
+    [(tags, _)] = viterbi_decode(crf, G, [3])
     assert tags == [0, 0, 0]
 
 
 def test_viterbi_matches_enumeration_with_tie_policy():
     for seed in (40, 41, 42, 43):
         crf, G = random_crf(6, 5, seed=seed)
-        [(tags, score)] = viterbi_decode(crf, G)
+        [(tags, score)] = viterbi_decode(crf, G, [6])
         scores = enumerate_scores(G.data, crf.transitions.data, 5)
         best = max(scores.values())
         assert score == pytest.approx(best, abs=1e-9)
@@ -459,18 +481,18 @@ def test_viterbi_matches_enumeration_with_tie_policy():
 def test_viterbi_ties_break_to_lowest_index():
     crf, _ = random_crf(2, 3, seed=44)
     crf.transitions.data[:] = 0.0
-    [(tags, _)] = viterbi_decode(crf, Tensor(np.zeros((2, 3))))
+    [(tags, _)] = viterbi_decode(crf, Tensor(np.zeros((2, 3))), [2])
     assert tags == [0, 0]
 
 
 def test_log_partition_row_shift_invariance():
     crf, G = random_crf(4, 3, seed=45)
-    base_z = crf_log_partition(crf, G)[0].item()
-    [(base_tags, _)] = viterbi_decode(crf, G)
+    base_z = crf_log_partition(crf, G, [4])[0].data.item()
+    [(base_tags, _)] = viterbi_decode(crf, G, [4])
     shifted = Tensor(G.data.copy())
     shifted.data[2] += 7.5
-    assert crf_log_partition(crf, shifted)[0].item() == pytest.approx(base_z + 7.5, rel=1e-12)
-    assert viterbi_decode(crf, shifted)[0][0] == base_tags
+    assert crf_log_partition(crf, shifted, [4])[0].data.item() == pytest.approx(base_z + 7.5, rel=1e-12)
+    assert viterbi_decode(crf, shifted, [4])[0][0] == base_tags
 
 
 def test_crf_never_reads_transitions_out_of_stop_or_into_start():
@@ -626,8 +648,9 @@ def test_total_loss_schema_only_weighting():
         model.heads[2].crf,
         g_schema,
         [[model.vocabs[TagLevel.SCHEMA].index_of(t) for t in query.tags(TagLevel.SCHEMA)]],
-    ).item()
-    assert loss.item() == want
+        Tape(),
+    ).data.item()
+    assert loss.data.item() == want
 
 
 def test_total_loss_uniform_weights_on_equal_nlls():
@@ -645,7 +668,7 @@ def test_total_loss_uniform_weights_on_equal_nlls():
     assert all(model.vocabs[lvl].size == k for lvl in TagLevel)
     v = 2 * np.log(k)
     loss, _, _ = total_loss(model, prepare_queries(model, [ds.queries[0]]))
-    assert loss.item() == v
+    assert loss.data.item() == v
 
 
 def test_total_loss_paper_weights_exact_composition():
@@ -657,9 +680,9 @@ def test_total_loss_paper_weights_exact_composition():
     parts = []
     for head, G in zip(model.heads, (g_pos, g_type, g_schema)):
         gold = [model.vocabs[head.level].index_of(t) for t in query.tags(head.level)]
-        parts.append(crf_nll(head.crf, G, [gold]).item())
+        parts.append(crf_nll(head.crf, G, [gold], Tape()).data.item())
     hand = (0.1 * parts[0] + 0.2 * parts[1]) + 0.7 * parts[2]
-    assert loss.item() == hand
+    assert loss.data.item() == hand
 
 
 def test_total_loss_rejects_unknown_tag():
@@ -713,7 +736,7 @@ def test_single_head_loss_is_its_crf_nll(name):
             p.zero_grad()
         value, tape = build()
         backward(tape, value)
-        return value.item(), [p.grad for _, p in net.parameters()]
+        return value.data.item(), [p.grad for _, p in net.parameters()]
 
     def nll():
         emissions, tape = model_forward(net, query_inputs(net, [query.words]))
@@ -733,10 +756,10 @@ def test_st_bi_train_forward_draws_masks_layer_by_layer(monkeypatch):
     applied = []
     real_gru = tagger.gru_layer
 
-    def spy(layer, X, tape=None, rec_masks=None, lengths=None, out_mask=None):
+    def spy(layer, X, lengths, tape=None, rec_masks=None, out_mask=None):
         if out_mask is not None:
             applied.append(out_mask)
-        return real_gru(layer, X, tape, rec_masks, lengths, out_mask)
+        return real_gru(layer, X, lengths, tape, rec_masks, out_mask)
 
     monkeypatch.setattr(tagger, "gru_layer", spy)
     rng = RNG(11)
@@ -871,7 +894,7 @@ def test_layers_and_model_check_the_widths_they_chain():
     with pytest.raises(nm.ShapeError):
         CrfLayer(crf.emit_weight.data, crf.emit_bias.data[:, :4], crf.transitions.data)
     with pytest.raises(nm.ShapeError):
-        gru_layer((cell, fresh_gru(2, 4, RNG(0))), np.zeros((1, 3)))
+        gru_layer((cell, fresh_gru(2, 4, RNG(0))), Tensor(np.zeros((1, 3))), [1])
     _, model = tiny_setup(hidden=5)  # embedding width 4, vocabulary sizes 4, 5, 5
     pos, type_, schema = model.heads
     encoder = [("shared", model.encoder[0][1])]
@@ -1049,7 +1072,7 @@ def test_packed_emissions_equal_single_query_emissions(
             for b, sentence_rows in enumerate(rows):
                 single = alone[start + b][h]
                 assert np.abs(sentence_rows - single.data).max() <= 1e-12
-                assert decoded[b][0] == viterbi_decode(head.crf, single)[0][0]
+                assert decoded[b][0] == viterbi_decode(head.crf, single, [lengths[b]])[0][0]
 
 
 def _ragged_chunk(fixture_corpus, count=7):
@@ -1099,7 +1122,7 @@ def test_padded_rows_get_zero_gradient_and_zero_states():
     tags = [[0, 2], [1, 1, 0, 2], [2]]
     for reverse in (False, True):
         tape = Tape()
-        out = ops.gru_direction(cell, X, tape, reverse=reverse, lengths=lengths)
+        out = ops.gru_direction(cell, ops.identity(X, tape), lengths, tape, reverse=reverse)
         assert np.array_equal(out.data[pad], np.zeros((pad.sum(), 4)))
         weights = Tensor(rng.standard_normal(out.shape))  # nonzero on padding too
         loss = ops.sum_all(ops.hadamard(out, weights, tape), tape)
@@ -1119,13 +1142,13 @@ def test_ragged_masked_chunk_gradients_match_fd(reverse):
     cell = fresh_gru(3, 4, rng)
     lengths = [3, 5, 1]
     X = Tensor(rng.standard_normal((5 * 3, 3)))
-    mask = (rng.random((4, 3)) > 0.4) * 2.0
+    mask = (rng.random((3, 4)) > 0.4) * 2.0
     weights = Tensor(rng.standard_normal((5 * 3, 4)))
     params = [X] + [t for _, t in cell.parameters("c")]
 
     def build():
         tape = Tape()
-        out = ops.gru_direction(cell, X, tape, rec_mask=mask, reverse=reverse, lengths=lengths)
+        out = ops.gru_direction(cell, ops.identity(X, tape), lengths, tape, rec_mask=mask, reverse=reverse)
         return ops.sum_all(ops.hadamard(out, weights, tape), tape), tape
 
     assert finite_diff_check(build, params, h=1e-6) < 1e-8
@@ -1155,9 +1178,9 @@ def test_packed_crf_matches_each_query_alone():
     scores = crf_score(crf, G, tags)[0].data[:, 0]
     decoded = viterbi_decode(crf, G, lengths)
     for b, single in enumerate(singles):
-        assert abs(log_z[b] - crf_log_partition(crf, Tensor(single))[0].item()) <= 1e-12
-        assert abs(scores[b] - crf_score(crf, Tensor(single), [tags[b]])[0].item()) <= 1e-12
-        [(path, best)] = viterbi_decode(crf, Tensor(single))
+        assert abs(log_z[b] - crf_log_partition(crf, Tensor(single), [len(single)])[0].data.item()) <= 1e-12
+        assert abs(scores[b] - crf_score(crf, Tensor(single), [tags[b]])[0].data.item()) <= 1e-12
+        [(path, best)] = viterbi_decode(crf, Tensor(single), [len(single)])
         assert decoded[b][0] == path and abs(decoded[b][1] - best) <= 1e-12
 
 
@@ -1165,13 +1188,13 @@ def test_packed_lengths_must_fit_the_rows():
     cell = fresh_gru(3, 4, RNG(0))
     crf, _ = random_crf(1, 3, seed=0)
     with pytest.raises(nm.ShapeError):
-        gru_layer((cell,), np.zeros((6, 3)), lengths=[2, 2, 3])
+        gru_layer((cell,), Tensor(np.zeros((6, 3))), [2, 2, 3])
     with pytest.raises(nm.ShapeError):
-        gru_layer((cell,), np.zeros((4, 3)), lengths=[2, 0])
+        gru_layer((cell,), Tensor(np.zeros((4, 3))), [2, 0])
     with pytest.raises(nm.ShapeError):
-        gru_layer((cell,), np.zeros((6, 3)), rec_masks=(np.ones((4, 1)),), lengths=[3, 3])
+        gru_layer((cell,), Tensor(np.zeros((6, 3))), [3, 3], rec_masks=(np.ones((1, 4)),))
     with pytest.raises(nm.ShapeError):
-        viterbi_decode(crf, np.zeros((6, 3)), [4, 2])
+        viterbi_decode(crf, Tensor(np.zeros((6, 3))), [4, 2])
 
 
 @pytest.mark.parametrize("name", ["DBTagger", "ST_Uni", "ST_Bi"])
@@ -1183,11 +1206,11 @@ def test_seeded_chunk_draws_the_per_query_dropout_masks(name, monkeypatch):
     seen = []
     real_gru = tagger.gru_layer
 
-    def gru_spy(layer, X, tape=None, rec_masks=None, lengths=None, out_mask=None):
+    def gru_spy(layer, X, lengths, tape=None, rec_masks=None, out_mask=None):
         seen.extend(("rec", mask) for mask in rec_masks or () if mask is not None)
         if out_mask is not None:
             seen.append(("out", out_mask))
-        return real_gru(layer, X, tape, rec_masks, lengths, out_mask)
+        return real_gru(layer, X, lengths, tape, rec_masks, out_mask)
 
     monkeypatch.setattr(tagger, "gru_layer", gru_spy)
     model_forward(net, sentences, mask_stream=MaskStream(0.5, RNG(8)))
@@ -1202,10 +1225,7 @@ def test_seeded_chunk_draws_the_per_query_dropout_masks(name, monkeypatch):
     for i, (kind, mask) in enumerate(chunk_masks):
         for b in range(B):
             assert alone[b][i][0] == kind
-            if kind == "rec":
-                assert np.array_equal(mask[:, b], alone[b][i][1][:, 0])
-            else:
-                assert np.array_equal(mask[b], alone[b][i][1][0])
+            assert np.array_equal(mask[b], alone[b][i][1][0])
 
 
 def test_tape_length_does_not_depend_on_chunk_size_or_lengths(
@@ -1259,7 +1279,7 @@ def test_decoding_computes_only_the_emissions_it_reads(
     words = chunk[0]
     alone = model_forward(model, query_inputs(model, [words]), record=False)[:3]
     want_tagged = [
-        [model.vocabs[level].symbols[i] for i in viterbi_decode(model.heads[h].crf, alone[h])[0][0]]
+        [model.vocabs[level].symbols[i] for i in viterbi_decode(model.heads[h].crf, alone[h], [len(words)])[0][0]]
         for h, level in ((1, TagLevel.TYPE), (2, TagLevel.SCHEMA))
     ]
 

@@ -26,9 +26,7 @@ def tagged_from_gold(query):
 
 
 def mapping_tables(*tables):
-    return MappingSet(
-        tables=frozenset(tables), attributes=frozenset(), value_spans=(), conditions=()
-    )
+    return MappingSet(tables=frozenset(tables), attributes=frozenset(), value_spans=())
 
 
 def test_mappings_from_table1(table1_query):
@@ -39,7 +37,6 @@ def test_mappings_from_table1(table1_query):
         ("cast.role", "John Nash"),
         ("movie.title", "A Beautiful Mind"),
     )
-    assert mappings.conditions == ("in",)
 
 
 def test_mappings_all_other_tokens_empty():
@@ -110,7 +107,6 @@ def test_join_path_coverage(imdb_subset):
         tables=frozenset({"written_by"}),
         attributes=frozenset({"people.gender"}),
         value_spans=(("movie.title", "Heat"),),
-        conditions=(),
     )
     path = infer_join_path(graph, mappings)
     assert mappings.required_tables() <= set(path.tables)
@@ -161,7 +157,6 @@ def test_render_single_table_attribute_only(imdb_subset):
         tables=frozenset(),
         attributes=frozenset({"movie.title"}),
         value_spans=(),
-        conditions=(),
     )
     path = infer_join_path(graph, mappings)
     assert render_sql(path, mappings) == "SELECT movie.title FROM movie"
@@ -173,7 +168,6 @@ def test_render_escapes_quotes(imdb_subset):
         tables=frozenset(),
         attributes=frozenset(),
         value_spans=(("movie.title", "O'Brien's Day"),),
-        conditions=(),
     )
     sql = render_sql(infer_join_path(graph, mappings), mappings)
     assert "O''Brien''s Day" in sql
